@@ -193,10 +193,8 @@ def cmd_toytrain(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- anchors
 
 _ANCHORS_DEFAULTS = {
-    "strides": "8,16,32,64,128",
-    "base_sizes": "32,64,128,256,512",
-    "scales": "1.0,1.2599210498948732,1.5874010519681994",
-    "ratios": "0.5,1.0,2.0",
+    key: ",".join(repr(v) for v in values)
+    for key, values in geometry.AnchorGridConfig.retinanet_defaults().to_dict().items()
 }
 
 

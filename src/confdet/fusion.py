@@ -42,19 +42,23 @@ class FusionParams:
             raise ValueError(f"obj_gate must be in [0, 1], got {self.obj_gate}")
 
 
-def fuse(cls_score: float, obj_score: float, params: FusionParams) -> float:
+def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> float:
     """Fused score of one detection, in [0, 1].
 
     product mode: obj^alpha * cls^(1-alpha); multiply: obj * cls; cls: the
-    classification score unchanged.  The boundary cases alpha in {0, 1} and
-    obj == cls return their operand exactly (this also realizes the
-    0^0 == 1 convention at score 0).
+    classification score unchanged, and ``obj_score`` is not looked at
+    (it may be None).  The boundary cases alpha in {0, 1} and obj == cls
+    return their operand exactly (this also realizes the 0^0 == 1
+    convention at score 0).
     """
-    for name, s in (("cls_score", cls_score), ("obj_score", obj_score)):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {s}")
+    if not 0.0 <= cls_score <= 1.0:
+        raise ValueError(f"cls_score must be in [0, 1], got {cls_score}")
     if params.mode == CLS_ONLY:
         return cls_score
+    if obj_score is None:
+        raise ValueError(f"fusion mode {params.mode!r} needs obj_score, got None")
+    if not 0.0 <= obj_score <= 1.0:
+        raise ValueError(f"obj_score must be in [0, 1], got {obj_score}")
     if params.mode == MULTIPLY:
         return obj_score * cls_score
     if params.alpha == 0.0 or obj_score == cls_score:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +58,6 @@ __all__ = [
 # Probabilities are clamped away from {0, 1} before any log; the perturbation
 # is far below test tolerances but keeps every loss finite.
 P_CLAMP = 1e-12
-
-CONF_LOSS_NAMES = ("l1", "smooth_l1", "l2", "ce", "weighted_ce", "gfocal")
 
 
 @dataclass(frozen=True)
@@ -217,22 +215,118 @@ def l1_localization_loss(
     return float(np.abs(p - t).sum() / n_pos)
 
 
+# ---------------------------------------------------------------- confidence losses
+#
+# One row per kind: the per-sample loss f(p, y, kind) at p = sigmoid(z) and
+# its derivative df/dz.  ``_reduce`` does everything else for every kind.
+# Kinds without parameters (l1, l2, ce) also accept a missing ``kind``.
+
+
+def _l1(p, y, kind=None):
+    return np.abs(y - p)
+
+
+def _ce(p, y, kind=None):
+    p = _clamped(p)
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
+def _smooth_l1(p, y, kind):
+    t = kind.smooth_l1_threshold
+    d = _l1(p, y)
+    return np.where(d < t, 0.5 * d**2 / t, d - 0.5 * t)
+
+
+def _smooth_l1_grad(p, y, kind):
+    t = kind.smooth_l1_threshold
+    diff = p - y
+    return np.where(np.abs(diff) < t, diff / t, np.sign(diff)) * p * (1.0 - p)
+
+
+def _gfocal(p, y, kind):
+    p = _clamped(p)  # for |y - p| as well as for CE: saturated logits stay on the clamped scale
+    return _l1(p, y) ** kind.beta * _ce(p, y)  # 0^0 == 1, so beta == 0 is exactly CE
+
+
+def _gfocal_grad(p, y, kind):
+    diff = p - y
+    if kind.beta == 0.0:
+        return diff  # plain CE gradient
+    absd = np.abs(diff)
+    # d/dz [ |d|^beta * CE ] = beta |d|^(beta-1) sign(d) CE p(1-p) + |d|^beta * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mod_term = kind.beta * absd ** (kind.beta - 1.0) * np.sign(diff)
+    mod_term = np.where(absd == 0.0, 0.0, mod_term)
+    return mod_term * _ce(p, y) * p * (1.0 - p) + absd**kind.beta * diff
+
+
+class _Row(NamedTuple):
+    value: Callable
+    grad: Callable
+    keeps_negatives: bool = False  # score negatives too, at target 0 and weight kind.w
+
+
+# CE keeps the closed-form gradient p - y, exact where p(1-p) underflows.
+_CE = _Row(_ce, lambda p, y, kind=None: p - y)
+
+_LOSSES = {
+    "l1": _Row(_l1, lambda p, y, kind=None: np.sign(p - y) * p * (1.0 - p)),
+    "smooth_l1": _Row(_smooth_l1, _smooth_l1_grad),
+    "l2": _Row(lambda p, y, kind=None: 0.5 * (y - p) ** 2, lambda p, y, kind=None: (p - y) * p * (1.0 - p)),
+    "ce": _CE,
+    "weighted_ce": _CE._replace(keeps_negatives=True),
+    "gfocal": _Row(_gfocal, _gfocal_grad),
+}
+
+CONF_LOSS_NAMES = tuple(_LOSSES)
+
+
+def _reduce(kind: ConfLossKind, logits, targets_iou, positive, n_pos, grad: bool):
+    """Sum ``kind``'s per-sample loss (or its gradient) over the scored samples / n_pos.
+
+    Gradients are scattered back to full length, 0 on unscored samples.
+    """
+    row = _LOSSES[kind.name]
+    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
+    if row.keeps_negatives:
+        weights = np.where(pos, 1.0, kind.w)
+        p, y = sigmoid(z), np.where(pos, y, 0.0)
+        if grad:
+            return weights * row.grad(p, y, kind) / n_pos
+        return float((weights * row.value(p, y, kind)).sum() / n_pos)
+    p, y = sigmoid(z[pos]), y[pos]
+    if not grad:
+        return float(row.value(p, y, kind).sum() / n_pos)
+    out = np.zeros_like(z)
+    out[pos] = row.grad(p, y, kind) / n_pos
+    return out
+
+
+def confidence_loss(kind: ConfLossKind, logits, targets_iou, positive=None, n_pos: int | None = None) -> float:
+    """The object-confidence loss selected by ``kind``, divided by n_pos.
+
+    All kinds except weighted_ce restrict to positive samples; weighted_ce
+    keeps negatives at weight ``kind.w``.
+    """
+    return _reduce(kind, logits, targets_iou, positive, n_pos, grad=False)
+
+
+def confidence_loss_grad(kind: ConfLossKind, logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
+    """d(confidence_loss)/d(logits) for the selected kind."""
+    return _reduce(kind, logits, targets_iou, positive, n_pos, grad=True)
+
+
 def ce_confidence_loss(logits, targets_iou, positive=None, n_pos: int | None = None) -> float:
     """Cross entropy between sigmoid outputs and IoU targets, positives only.
 
     -(1/n_pos) * sum over positives of [y ln p + (1 - y) ln(1 - p)].
     """
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = _clamped(sigmoid(z))
-    ce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(ce[pos].sum() / n_pos)
+    return confidence_loss(ConfLossKind("ce"), logits, targets_iou, positive, n_pos)
 
 
 def ce_confidence_loss_grad(logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
     """d(ce_confidence_loss)/d(logits): (p - y) / n_pos on positives, 0 elsewhere."""
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    return np.where(pos, p - y, 0.0) / n_pos
+    return confidence_loss_grad(ConfLossKind("ce"), logits, targets_iou, positive, n_pos)
 
 
 def weighted_ce_confidence_loss(logits, targets_iou, positive, w: float, n_pos: int | None = None) -> float:
@@ -241,25 +335,12 @@ def weighted_ce_confidence_loss(logits, targets_iou, positive, w: float, n_pos: 
     -(1/n_pos) * [sum_pos CE_i + w * sum_neg CE_i]; w = 0 reduces to the
     positives-only loss.
     """
-    if w < 0.0:
-        raise ValueError(f"negative-sample weight must be >= 0, got {w}")
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    y = np.where(pos, y, 0.0)
-    p = _clamped(sigmoid(z))
-    ce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    weights = np.where(pos, 1.0, w)
-    return float((weights * ce).sum() / n_pos)
+    return confidence_loss(ConfLossKind("weighted_ce", w=w), logits, targets_iou, positive, n_pos)
 
 
 def weighted_ce_confidence_loss_grad(logits, targets_iou, positive, w: float, n_pos: int | None = None) -> np.ndarray:
     """d(weighted_ce_confidence_loss)/d(logits)."""
-    if w < 0.0:
-        raise ValueError(f"negative-sample weight must be >= 0, got {w}")
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    y = np.where(pos, y, 0.0)
-    p = sigmoid(z)
-    weights = np.where(pos, 1.0, w)
-    return weights * (p - y) / n_pos
+    return confidence_loss_grad(ConfLossKind("weighted_ce", w=w), logits, targets_iou, positive, n_pos)
 
 
 def gfocal_loss(logits, targets_iou, n_pos: int | None = None, beta: float = 2.0) -> float:
@@ -268,128 +349,45 @@ def gfocal_loss(logits, targets_iou, n_pos: int | None = None, beta: float = 2.0
     Zero exactly when every prediction matches its target; beta = 0 reduces
     to plain cross entropy.
     """
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    z, y, _, n_pos = _prep_masked(logits, targets_iou, None, n_pos)
-    p = _clamped(sigmoid(z))
-    ce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    mod = np.abs(y - p) ** beta  # 0^0 == 1, so beta == 0 is exactly CE
-    return float((mod * ce).sum() / n_pos)
+    return confidence_loss(ConfLossKind("gfocal", beta=beta), logits, targets_iou, None, n_pos)
 
 
 def gfocal_loss_grad(logits, targets_iou, n_pos: int | None = None, beta: float = 2.0) -> np.ndarray:
     """d(gfocal_loss)/d(logits)."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    z, y, _, n_pos = _prep_masked(logits, targets_iou, None, n_pos)
-    p = sigmoid(z)
-    pc = _clamped(p)
-    ce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-    diff = p - y
-    absd = np.abs(diff)
-    if beta == 0.0:
-        return diff / n_pos  # plain CE gradient
-    # d/dz [ |d|^beta * CE ] = beta |d|^(beta-1) sign(d) CE p(1-p) + |d|^beta * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mod_term = beta * absd ** (beta - 1.0) * np.sign(diff)
-    mod_term = np.where(absd == 0.0, 0.0, mod_term)
-    return (mod_term * ce * p * (1.0 - p) + absd**beta * diff) / n_pos
+    return confidence_loss_grad(ConfLossKind("gfocal", beta=beta), logits, targets_iou, None, n_pos)
 
 
 def l1_confidence_loss(logits, targets_iou, positive=None, n_pos: int | None = None) -> float:
     """Mean absolute error |y - p| over positives, divided by n_pos."""
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    return float(np.abs(y - p)[pos].sum() / n_pos)
+    return confidence_loss(ConfLossKind("l1"), logits, targets_iou, positive, n_pos)
 
 
 def l1_confidence_loss_grad(logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    g = np.sign(p - y) * p * (1.0 - p)
-    return np.where(pos, g, 0.0) / n_pos
+    return confidence_loss_grad(ConfLossKind("l1"), logits, targets_iou, positive, n_pos)
 
 
 def l2_confidence_loss(logits, targets_iou, positive=None, n_pos: int | None = None) -> float:
     """Squared error 0.5 * (y - p)^2 over positives, divided by n_pos."""
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    return float((0.5 * (y - p) ** 2)[pos].sum() / n_pos)
+    return confidence_loss(ConfLossKind("l2"), logits, targets_iou, positive, n_pos)
 
 
 def l2_confidence_loss_grad(logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    g = (p - y) * p * (1.0 - p)
-    return np.where(pos, g, 0.0) / n_pos
+    return confidence_loss_grad(ConfLossKind("l2"), logits, targets_iou, positive, n_pos)
 
 
 def smooth_l1_confidence_loss(
     logits, targets_iou, positive=None, n_pos: int | None = None, threshold: float = 1.0
 ) -> float:
     """Huber-style |y - p| loss: quadratic below ``threshold``, linear above."""
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    d = np.abs(y - p)
-    per = np.where(d < threshold, 0.5 * d**2 / threshold, d - 0.5 * threshold)
-    return float(per[pos].sum() / n_pos)
+    kind = ConfLossKind("smooth_l1", smooth_l1_threshold=threshold)
+    return confidence_loss(kind, logits, targets_iou, positive, n_pos)
 
 
 def smooth_l1_confidence_loss_grad(
     logits, targets_iou, positive=None, n_pos: int | None = None, threshold: float = 1.0
 ) -> np.ndarray:
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-    p = sigmoid(z)
-    diff = p - y
-    d_loss = np.where(np.abs(diff) < threshold, diff / threshold, np.sign(diff))
-    g = d_loss * p * (1.0 - p)
-    return np.where(pos, g, 0.0) / n_pos
-
-
-def confidence_loss(kind: ConfLossKind, logits, targets_iou, positive=None, n_pos: int | None = None) -> float:
-    """Dispatch to the object-confidence loss selected by ``kind``.
-
-    All kinds except weighted_ce restrict to positive samples; weighted_ce
-    keeps negatives at weight ``kind.w``.
-    """
-    if kind.name == "ce":
-        return ce_confidence_loss(logits, targets_iou, positive, n_pos)
-    if kind.name == "weighted_ce":
-        return weighted_ce_confidence_loss(logits, targets_iou, positive, kind.w, n_pos)
-    if kind.name == "gfocal":
-        z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-        return gfocal_loss(z[pos], y[pos], n_pos, kind.beta)
-    if kind.name == "l1":
-        return l1_confidence_loss(logits, targets_iou, positive, n_pos)
-    if kind.name == "l2":
-        return l2_confidence_loss(logits, targets_iou, positive, n_pos)
-    if kind.name == "smooth_l1":
-        return smooth_l1_confidence_loss(logits, targets_iou, positive, n_pos, kind.smooth_l1_threshold)
-    raise ValueError(f"unknown confidence loss {kind.name!r}")
-
-
-def confidence_loss_grad(kind: ConfLossKind, logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
-    """d(confidence_loss)/d(logits) for the selected kind."""
-    if kind.name == "ce":
-        return ce_confidence_loss_grad(logits, targets_iou, positive, n_pos)
-    if kind.name == "weighted_ce":
-        return weighted_ce_confidence_loss_grad(logits, targets_iou, positive, kind.w, n_pos)
-    if kind.name == "gfocal":
-        z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
-        out = np.zeros_like(z)
-        out[pos] = gfocal_loss_grad(z[pos], y[pos], n_pos, kind.beta)
-        return out
-    if kind.name == "l1":
-        return l1_confidence_loss_grad(logits, targets_iou, positive, n_pos)
-    if kind.name == "l2":
-        return l2_confidence_loss_grad(logits, targets_iou, positive, n_pos)
-    if kind.name == "smooth_l1":
-        return smooth_l1_confidence_loss_grad(logits, targets_iou, positive, n_pos, kind.smooth_l1_threshold)
-    raise ValueError(f"unknown confidence loss {kind.name!r}")
+    kind = ConfLossKind("smooth_l1", smooth_l1_threshold=threshold)
+    return confidence_loss_grad(kind, logits, targets_iou, positive, n_pos)
 
 
 def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
@@ -409,14 +407,7 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
     if y_arr.shape != z_arr.shape:
         raise ValueError("y and z must have the same shape")
 
-    h = sigmoid(z_arr)
-    if kind == "l1":
-        factor = np.sign(h - y_arr) * h * (1.0 - h)
-    elif kind == "l2":
-        factor = (h - y_arr) * h * (1.0 - h)
-    else:
-        factor = h - y_arr
-
+    factor = _LOSSES[kind].grad(sigmoid(z_arr), y_arr)  # dloss/dz; l1/l2/ce take no parameters
     if y_arr.ndim == 0:
         if x_arr.ndim != 1:
             raise ValueError(f"scalar y/z need x of shape (d,), got {x_arr.shape}")
@@ -424,6 +415,7 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
     if y_arr.ndim == 1 and x_arr.ndim == 2 and x_arr.shape[0] == y_arr.shape[0]:
         return factor[:, None] * x_arr
     raise ValueError(f"incompatible shapes: y {y_arr.shape}, x {x_arr.shape}")
+
 
 
 def total_loss(cls: float, loc: float, conf: float) -> LossBreakdown:

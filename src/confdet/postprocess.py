@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .fusion import CLS_ONLY, FusionParams, fuse, gate
+from .fusion import FusionParams, fuse, gate
 from .geometry import Box, iou
 
 __all__ = [
@@ -128,16 +128,7 @@ def apply_fusion(dets: Iterable[Detection], params: FusionParams) -> list[Detect
     cls mode copies the classification score and needs no object
     confidence; the other modes reject detections without one.
     """
-    out = []
-    for det in dets:
-        if params.mode == CLS_ONLY:
-            fused = det.cls_score
-        else:
-            if det.obj_score is None:
-                raise ValueError(f"fusion mode {params.mode!r} needs obj_score: {det}")
-            fused = fuse(det.cls_score, det.obj_score, params)
-        out.append(replace(det, fused_score=fused))
-    return out
+    return [replace(det, fused_score=fuse(det.cls_score, det.obj_score, params)) for det in dets]
 
 
 def inference_pipeline(

@@ -134,15 +134,6 @@ def initial_theta(init: str, d: int) -> np.ndarray:
     return theta
 
 
-def _batch_loss(kind: str, y: np.ndarray, h: np.ndarray) -> float:
-    if kind == "l1":
-        return float(np.mean(np.abs(y - h)))
-    if kind == "l2":
-        return float(np.mean(0.5 * (y - h) ** 2))
-    p = np.clip(h, losses.P_CLAMP, 1.0 - losses.P_CLAMP)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
 def train(data: ToyDataset, cfg: ToyTrainConfig) -> TrainTrace:
     """Full-batch gradient descent; deterministic given the dataset and config.
 
@@ -152,6 +143,7 @@ def train(data: ToyDataset, cfg: ToyTrainConfig) -> TrainTrace:
     x = data.features
     y = data.targets
     theta = initial_theta(cfg.init, x.shape[1])
+    per_sample, abs_err = losses._LOSSES[cfg.loss_kind].value, losses._LOSSES["l1"].value
 
     loss_rows, mae_rows, norm_rows = [], [], []
     diverged = False
@@ -160,13 +152,13 @@ def train(data: ToyDataset, cfg: ToyTrainConfig) -> TrainTrace:
         for _ in range(cfg.max_iters):
             z = x @ theta
             h = sigmoid(z)
-            loss = _batch_loss(cfg.loss_kind, y, h)
+            loss = float(np.mean(per_sample(h, y)))
             if not np.isfinite(loss):
                 diverged = True
                 break
             grad = sigmoid_regression_grad(cfg.loss_kind, y, z, x).mean(axis=0)
             loss_rows.append(loss)
-            mae_rows.append(float(np.mean(np.abs(y - h))))
+            mae_rows.append(float(np.mean(abs_err(h, y))))
             norm_rows.append(float(np.linalg.norm(grad)))
             theta = theta - cfg.learning_rate * grad
             if not np.isfinite(theta).all():
@@ -196,11 +188,11 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
             fh.write(f"# diverged: loss left the finite range after iteration {len(trace) - 1}\n")
 
 
-GRADCHECK_LOSSES = ("l1", "l2", "ce", "focal", "gfocal", "wce")
+GRADCHECK_LOSSES = ("l1", "l2", "ce", "focal", "gfocal", "wce", "smooth_l1")
 
 _FD_STEP = 1e-6
-# Weight used for the negative term when checking the weighted CE gradient.
-_WCE_WEIGHT = 0.25
+# The weighted CE that "wce" checks: its negative term at weight 0.25.
+_WCE = losses.ConfLossKind("weighted_ce", w=0.25)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -217,8 +209,22 @@ def _central_diff(fn, z: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _ce_divergence(h: float, y: float) -> float:
+    """KL(y || h) = ce - H(y): ce's gradient, but a value as small as the error.
+
+    Near y == h the O(1) ce value's rounding swamps a central difference.
+    """
+    kl = 0.0
+    if y > 0.0:
+        kl -= y * np.log1p((h - y) / y)
+    if y < 1.0:
+        kl -= (1.0 - y) * np.log1p((y - h) / (1.0 - y))
+    return kl
+
+
 def _theta_space_trial(kind: str, rng: np.random.Generator) -> float:
     """One random (theta, x, y) with |theta . x| <= 6; returns the relative error."""
+    loss = _ce_divergence if kind == "ce" else losses._LOSSES[kind].value
     d = 4
     while True:
         x = rng.uniform(-2.0, 2.0, size=d)
@@ -228,48 +234,35 @@ def _theta_space_trial(kind: str, rng: np.random.Generator) -> float:
     theta = z_target * x / float(x @ x)
     while True:
         y = rng.uniform(0.0, 1.0)
-        # l1 is non-differentiable on y == h; keep clear of the kink
-        if kind != "l1" or abs(y - sigmoid(float(x @ theta))) >= 1e-4:
+        # l1 is non-differentiable on y == h, where its loss is 0; keep clear of the kink
+        if kind != "l1" or loss(sigmoid(float(x @ theta)), y) >= 1e-4:
             break
 
-    def value(t: np.ndarray) -> float:
-        h = sigmoid(float(x @ t))
-        if kind == "l1":
-            return abs(y - h)
-        if kind == "l2":
-            return 0.5 * (y - h) ** 2
-        return -(y * np.log(h) + (1.0 - y) * np.log(1.0 - h))
-
     analytic = sigmoid_regression_grad(kind, y, float(x @ theta), x)
-    numeric = _central_diff(value, theta)
+    numeric = _central_diff(lambda t: loss(sigmoid(float(x @ t)), y), theta)
     return _rel_err(analytic, numeric)
 
 
 def _logit_space_trial(kind: str, rng: np.random.Generator) -> float:
-    """Check d(batch loss)/d(logits) for the focal-family losses."""
+    """Check d(batch loss)/d(logits) on a small batch of about half positives.
+
+    ``focal`` checks the focal loss; every other kind is a ConfLossKind
+    name, and ``wce`` is _WCE.
+    """
     n = 8
     z = rng.uniform(-6.0, 6.0, size=n)
+    pos = rng.random(n) < 0.5
+    if not pos.any():
+        pos[0] = True
+    n_pos = int(pos.sum())
     if kind == "focal":
-        pos = rng.random(n) < 0.5
-        if not pos.any():
-            pos[0] = True
-        n_pos = int(pos.sum())
         value = lambda zz: losses.focal_loss(zz, pos, n_pos)
         analytic = losses.focal_loss_grad(z, pos, n_pos)
-    elif kind == "gfocal":
-        y = rng.uniform(0.0, 1.0, size=n)
-        value = lambda zz: losses.gfocal_loss(zz, y, n)
-        analytic = losses.gfocal_loss_grad(z, y, n)
-    elif kind == "wce":
-        pos = rng.random(n) < 0.5
-        if not pos.any():
-            pos[0] = True
-        y = np.where(pos, rng.uniform(0.0, 1.0, size=n), 0.0)
-        n_pos = int(pos.sum())
-        value = lambda zz: losses.weighted_ce_confidence_loss(zz, y, pos, _WCE_WEIGHT, n_pos)
-        analytic = losses.weighted_ce_confidence_loss_grad(z, y, pos, _WCE_WEIGHT, n_pos)
     else:
-        raise ValueError(f"unknown gradcheck loss {kind!r}")
+        conf = _WCE if kind == "wce" else losses.ConfLossKind(kind)
+        y = np.where(pos, rng.uniform(0.0, 1.0, size=n), 0.0)
+        value = lambda zz: losses.confidence_loss(conf, zz, y, pos, n_pos)
+        analytic = losses.confidence_loss_grad(conf, z, y, pos, n_pos)
     numeric = _central_diff(value, z)
     return _rel_err(analytic, numeric)
 
@@ -277,9 +270,10 @@ def _logit_space_trial(kind: str, rng: np.random.Generator) -> float:
 def finite_diff_check(loss_kind: str, tol: float = 1e-6, trials: int = 100, seed: int = 0) -> float:
     """Max relative error between an analytic gradient and central differences.
 
-    l1/l2/ce are checked in weight space on single samples; focal, gfocal
-    and wce (weighted cross entropy) in logit space on small batches.  All
-    sample points keep |pre-sigmoid value| <= 6.  ``tol`` is the threshold
+    l1/l2/ce are checked in weight space on single samples (ce through its
+    divergence from the target, see _ce_divergence); focal, gfocal, wce
+    (weighted cross entropy) and smooth_l1 in logit space on small batches.
+    All sample points keep |pre-sigmoid value| <= 6.  ``tol`` is the threshold
     callers compare the result against; it does not affect the computation.
     """
     if loss_kind == "weighted_ce":

@@ -205,7 +205,7 @@ class TestAnalyzeCommand:
 
 
 class TestGradcheckCommand:
-    @pytest.mark.parametrize("loss", ["l1", "l2", "ce", "focal", "gfocal", "wce"])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "ce", "focal", "gfocal", "wce", "smooth_l1"])
     def test_each_loss_passes(self, loss, capsys):
         assert main(["gradcheck", "--loss", loss, "--trials", "100", "--tol", "1e-6"]) == 0
         assert "max relative error" in capsys.readouterr().out

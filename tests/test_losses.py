@@ -435,3 +435,26 @@ def test_losses_permutation_invariant():
         assert confidence_loss(kind, z, y, pos) == pytest.approx(
             confidence_loss(kind, z[perm], y[perm], pos[perm]), abs=1e-12
         )
+
+
+class TestSaturatedLogits:
+    """At |z| = 40, p is 1.0 or 4e-18 and p(1 - p) has underflowed."""
+
+    z = np.array([40.0, -40.0, 40.0, -40.0])
+    y = np.array([0.0, 1.0, 0.3, 0.7])
+
+    @pytest.mark.parametrize("name", ["ce", "weighted_ce"])
+    def test_cross_entropy_grad_is_p_minus_y(self, name):
+        grad = confidence_loss_grad(ConfLossKind(name), self.z, self.y, n_pos=1)
+        assert np.array_equal(grad, sigmoid(self.z) - self.y)
+        assert np.abs(grad).min() >= 0.7  # a confidently wrong output keeps its full gradient
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "smooth_l1"])
+    def test_regression_grads_vanish(self, name):
+        grad = confidence_loss_grad(ConfLossKind(name), self.z, self.y)
+        assert np.abs(grad).max() <= 1e-15
+
+    def test_gfocal_finite(self):
+        kind = ConfLossKind("gfocal")
+        assert math.isfinite(confidence_loss(kind, self.z, self.y))
+        assert np.isfinite(confidence_loss_grad(kind, self.z, self.y)).all()
