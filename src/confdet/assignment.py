@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor, Box, BoxDelta, encode, iou_matrix
+from .geometry import Anchor, Box, BoxDelta, class_id_from_json, encode, iou_matrix
 
 __all__ = [
     "NEGATIVE",
@@ -42,7 +42,7 @@ class GroundTruthBox:
     def __post_init__(self):
         if self.box.area <= 0:
             raise ValueError(f"ground-truth box must have positive area, got {self.box}")
-        if not isinstance(self.class_id, int) or self.class_id < 0:
+        if isinstance(self.class_id, bool) or not isinstance(self.class_id, int) or self.class_id < 0:
             raise ValueError(f"class_id must be a non-negative integer, got {self.class_id!r}")
 
 
@@ -210,7 +210,7 @@ def load_ground_truth_jsonl(path) -> dict[str, list[GroundTruthBox]]:
                 record = json.loads(line)
                 gt = GroundTruthBox(
                     box=Box.from_list(record["box"]),
-                    class_id=int(record["class_id"]),
+                    class_id=class_id_from_json(record["class_id"]),
                 )
                 image_id = str(record["image_id"])
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -85,6 +85,9 @@ _ANALYZE_DEFAULTS = {
 def _stats_from_dumps(args) -> list[analysis.ImageStats]:
     before = postprocess.group_by_image(postprocess.load_detections_jsonl(args.before))
     after = postprocess.group_by_image(postprocess.load_detections_jsonl(args.after))
+    after_only = [image_id for image_id in after if image_id not in before]
+    if after_only:
+        raise ValueError(f"{args.after}: images missing from --before: {after_only}")
     gts = assignment.load_ground_truth_jsonl(args.gts) if args.gts else {}
     conditions = [analysis.Condition.parse(c) for c in args.conditions.split(",")]
     if analysis.TOTAL_CONDITION not in conditions:

@@ -7,7 +7,9 @@ exact continuous area ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,10 +28,16 @@ __all__ = [
     "decode",
 ]
 
+_FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle with x2 >= x1, y2 >= y1 and finite coordinates."""
+    """Axis-aligned rectangle with x2 >= x1, y2 >= y1 and finite coordinates.
+
+    Coordinates are int or float (bool is rejected), and 2 * area must be
+    finite, so the union of any two boxes is finite too.
+    """
 
     x1: float
     y1: float
@@ -37,11 +45,22 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in coords):
-            raise ValueError(f"box coordinates must be finite numbers, got {coords}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        # Plain checks, no generator: anchor tiling builds ~10^5 boxes per image.
+        x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
+        for c in coords:
+            if c.__class__ is not float and (c is True or c is False or not isinstance(c, (int, float))):
+                raise ValueError(f"box coordinates must be int or float numbers, not bool; got {coords}")
+            if not -_FLOAT_MAX <= c <= _FLOAT_MAX:  # NaN, infinities, ints beyond the float range
+                raise ValueError(f"box coordinates must be finite, got {coords}")
+        if x2 < x1 or y2 < y1:
             raise ValueError(f"box corners out of order: {coords}")
+        # A finite 2 * area bounds the union of any two boxes, so IoU never overflows.
+        try:
+            twice_area = 2.0 * ((x2 - x1) * (y2 - y1))
+        except OverflowError:  # int corners whose area is beyond the float range
+            twice_area = math.inf
+        if not math.isfinite(twice_area):
+            raise ValueError(f"box area too large: 2 * area must be finite, got {coords}")
 
     @property
     def width(self) -> float:
@@ -67,7 +86,23 @@ class Box:
     def from_list(cls, values: Sequence[float]) -> "Box":
         if len(values) != 4:
             raise ValueError(f"expected [x1, y1, x2, y2], got {values!r}")
+        for v in values:
+            if v is True or v is False:
+                raise ValueError(f"box coordinates must not be bool, got {values!r}")
         return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
+
+
+def class_id_from_json(value) -> int:
+    """A class id read from JSON: an int, or a float with an integral value.
+
+    Booleans, fractional and non-numeric values raise ``ValueError``; the
+    sign is left to the record's own check.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"class_id must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -180,9 +215,29 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def _iou_row(box: np.ndarray, area: float, boxes: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """IoU of one box against each row of ``boxes``, with :func:`iou`'s arithmetic.
+
+    ``box`` holds (4,) corners and ``boxes`` (m, 4); ``area`` and ``areas``
+    are their (x2 - x1) * (y2 - y1).  Each element takes the same float
+    operations in the same order as ``iou`` (union = area_a + area_b - inter
+    is symmetric in a and b), so it equals ``iou`` bit for bit and a strict
+    threshold decides the same way.
+    """
+    iw = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
+    ih = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    inter = np.zeros(iw.shape)
+    np.multiply(iw, ih, out=inter, where=(iw > 0.0) & (ih > 0.0))
+    union = area + areas - inter
+    out = np.zeros(union.shape)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
 def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
     """Stack boxes into an (n, 4) float array of corners."""
-    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64).reshape(-1, 4)
+    corners = itertools.chain.from_iterable((b.x1, b.y1, b.x2, b.y2) for b in boxes)
+    return np.fromiter(corners, dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:

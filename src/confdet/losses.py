@@ -70,7 +70,7 @@ class FocalParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:  # NaN fails too
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
@@ -91,11 +91,12 @@ class ConfLossKind:
     def __post_init__(self):
         if self.name not in CONF_LOSS_NAMES:
             raise ValueError(f"unknown confidence loss {self.name!r}, expected one of {CONF_LOSS_NAMES}")
-        if self.w < 0.0:
+        # written so that NaN fails each check
+        if not self.w >= 0.0:
             raise ValueError(f"negative-sample weight must be >= 0, got {self.w}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.smooth_l1_threshold <= 0.0:
+        if not self.smooth_l1_threshold > 0.0:
             raise ValueError(f"smooth_l1 threshold must be > 0, got {self.smooth_l1_threshold}")
 
 
@@ -128,13 +129,21 @@ def _clamped(p):
 
 
 def _check_targets(y: np.ndarray):
-    if y.size and (y.min() < 0.0 or y.max() > 1.0):
+    if y.size and not (0.0 <= y.min() and y.max() <= 1.0):  # NaN fails too
         raise ValueError("targets must lie in [0, 1]")
+
+
+def _as_logits(logits) -> np.ndarray:
+    """Flat float64 logits; NaN is rejected, infinities and saturated values are fine."""
+    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if np.isnan(z).any():
+        raise ValueError("logits must not be NaN")
+    return z
 
 
 def _prep_masked(logits, targets, positive, n_pos):
     """Common validation for the confidence losses."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    z = _as_logits(logits)
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
     if z.shape != y.shape:
         raise ValueError(f"logits and targets length mismatch: {z.shape} vs {y.shape}")
@@ -158,7 +167,7 @@ def focal_loss(logits, positive, n_pos: int, params: FocalParams = FocalParams()
     Per sample: alpha_t * (1 - p_t)^gamma * (-ln p_t) with p_t = p for
     positives and 1 - p for negatives, alpha_t likewise alpha / 1 - alpha.
     """
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    z = _as_logits(logits)
     pos = np.asarray(positive, dtype=bool).reshape(-1)
     if z.shape != pos.shape:
         raise ValueError("logits and labels length mismatch")
@@ -173,7 +182,7 @@ def focal_loss(logits, positive, n_pos: int, params: FocalParams = FocalParams()
 
 def focal_loss_grad(logits, positive, n_pos: int, params: FocalParams = FocalParams()) -> np.ndarray:
     """d(focal_loss)/d(logits), same normalization as the value."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    z = _as_logits(logits)
     pos = np.asarray(positive, dtype=bool).reshape(-1)
     if z.shape != pos.shape:
         raise ValueError("logits and labels length mismatch")
@@ -404,6 +413,7 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
     z_arr = np.asarray(z, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     _check_targets(y_arr.reshape(-1))
+    _as_logits(z_arr)
     if y_arr.shape != z_arr.shape:
         raise ValueError("y and z must have the same shape")
 

@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .fusion import FusionParams, fuse, gate
-from .geometry import Box, iou
+from .geometry import Box, _iou_row, boxes_to_array, class_id_from_json
 
 __all__ = [
     "Detection",
@@ -50,7 +52,7 @@ class Detection:
     image_id: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.class_id, int) or self.class_id < 0:
+        if isinstance(self.class_id, bool) or not isinstance(self.class_id, int) or self.class_id < 0:
             raise ValueError(f"class_id must be a non-negative integer, got {self.class_id!r}")
         for name in ("cls_score", "obj_score", "fused_score"):
             value = getattr(self, name)
@@ -101,6 +103,10 @@ def nms(dets: Sequence[Detection], params: NmsParams = NmsParams()) -> list[Dete
     drop any box overlapping an already-kept box of the same class with
     IoU > iou_threshold.  Output is ordered by descending score.  All
     detections must come from a single image.
+
+    The walk runs on arrays: each kept box gets one vectorized IoU row
+    against the later boxes of its class, computed with :func:`iou`'s
+    arithmetic, so every decision matches the scalar definition exactly.
     """
     dets = list(dets)
     if not dets:
@@ -108,18 +114,28 @@ def nms(dets: Sequence[Detection], params: NmsParams = NmsParams()) -> list[Dete
     image_ids = {d.image_id for d in dets}
     if len(image_ids) > 1:
         raise ValueError(f"nms expects a single image, got ids {sorted(image_ids)}")
-    scores = [_field_score(d, params.score_field) for d in dets]
+    scores = np.array([_field_score(d, params.score_field) for d in dets])
+    order = np.argsort(-scores, kind="stable")  # descending score, ties by input index
+    ranked = [dets[i] for i in order]
 
-    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
-    kept: list[int] = []
-    kept_by_class: dict[int, list[int]] = {}
-    for i in order:
-        cls_kept = kept_by_class.setdefault(dets[i].class_id, [])
-        if any(iou(dets[i].box, dets[j].box) > params.iou_threshold for j in cls_kept):
-            continue
-        cls_kept.append(i)
-        kept.append(i)
-    return [dets[i] for i in kept]
+    # Dense class codes in score order; a stable sort of them lines up each
+    # class as one block of positions, still in score order.
+    codes: dict[int, int] = {}
+    classes = np.array([codes.setdefault(d.class_id, len(codes)) for d in ranked])
+    by_class = np.argsort(classes, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(classes[by_class])) + 1).tolist(), len(ranked)]
+
+    boxes = boxes_to_array(ranked[i].box for i in by_class)
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    alive = np.ones(len(ranked), dtype=bool)
+    # Far-apart boxes can overflow a gap to -inf: no overlap, as in iou.
+    with np.errstate(over="ignore"):
+        for start, end in zip(bounds, bounds[1:]):
+            for k in range(start, end - 1):
+                if alive[k]:
+                    row = _iou_row(boxes[k], areas[k], boxes[k + 1 : end], areas[k + 1 : end])
+                    alive[k + 1 : end] &= ~(row > params.iou_threshold)
+    return [ranked[i] for i in np.sort(by_class[alive])]
 
 
 def apply_fusion(dets: Iterable[Detection], params: FusionParams) -> list[Detection]:
@@ -173,7 +189,7 @@ def detection_from_dict(record: dict) -> Detection:
         fused = record.get("fused_score")
         return Detection(
             box=Box.from_list(record["box"]),
-            class_id=int(record["class_id"]),
+            class_id=class_id_from_json(record["class_id"]),
             cls_score=float(record["cls_score"]),
             obj_score=None if obj is None else float(obj),
             fused_score=None if fused is None else float(fused),

@@ -241,3 +241,31 @@ def test_result_invariants():
     # positives not promoted by the best-anchor rule sit at or above the threshold
     assert (result.matched_iou[result.positive_mask & ~result.forced] >= 0.5).all()
     assert (result.matched_iou >= 0.0).all() and (result.matched_iou <= 1.0).all()
+
+
+class TestClassIdContract:
+    def test_bool_class_id_rejected(self):
+        with pytest.raises(ValueError, match="class_id"):
+            GroundTruthBox(box=Box(0, 0, 1, 1), class_id=True)
+
+    @pytest.mark.parametrize("value", ["true", "1.7", '"1"', "null"])
+    def test_loader_rejects_non_integral_class_id(self, tmp_path, value):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"image_id": "a", "box": [0, 0, 10, 10], "class_id": 1}\n'
+            f'{{"image_id": "a", "box": [0, 0, 10, 10], "class_id": {value}}}\n'
+        )
+        with pytest.raises(ValueError, match=r"gt\.jsonl: line 2: class_id"):
+            load_ground_truth_jsonl(path)
+
+    def test_loader_accepts_integral_float_class_id(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text('{"image_id": "a", "box": [0, 0, 10, 10], "class_id": 3.0}\n')
+        (loaded,) = load_ground_truth_jsonl(path)["a"]
+        assert loaded.class_id == 3 and type(loaded.class_id) is int
+
+    def test_loader_rejects_bool_coordinate(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text('{"image_id": "a", "box": [0, 0, true, 10], "class_id": 1}\n')
+        with pytest.raises(ValueError, match="line 1: box coordinates must not be bool"):
+            load_ground_truth_jsonl(path)

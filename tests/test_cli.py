@@ -190,6 +190,17 @@ class TestAnalyzeCommand:
         assert lines[0] == "max_iou,cls_score"
         assert len(lines) == 11
 
+    def test_images_only_in_after_rejected(self, tmp_path, capsys):
+        before_path = tmp_path / "before.jsonl"
+        random_dump(before_path, seed=7, n=5, image_ids=("a",))
+        after_path = tmp_path / "after.jsonl"
+        random_dump(after_path, seed=7, n=5, image_ids=("a", "ghost-1", "ghost-2"))
+        code = main(["analyze", "--before", str(before_path), "--after", str(after_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "images missing from --before" in err
+        assert "'ghost-1', 'ghost-2'" in err
+
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):
         assert main(["analyze", "--conditions", "iou>0.5"]) == 2
         assert main([

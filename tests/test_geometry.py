@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from confdet.geometry import (
     AnchorGridConfig,
     Box,
     BoxDelta,
+    _iou_row,
+    boxes_to_array,
     decode,
     encode,
     generate_anchors,
@@ -258,3 +261,85 @@ def test_anchor_carries_level_and_cell():
     anchor = Anchor(box=Box(0, 0, 1, 1), level=2, cell=(3, 4))
     assert anchor.level == 2
     assert anchor.cell == (3, 4)
+
+
+def _largest_square_side():
+    """The largest side s for which Box(0, 0, s, s) passes the 2 * area bound."""
+
+    def fits(side):
+        return math.isfinite(2.0 * (side * side))
+
+    s = math.sqrt(sys.float_info.max / 2.0)
+    while fits(math.nextafter(s, math.inf)):
+        s = math.nextafter(s, math.inf)
+    while not fits(s):
+        s = math.nextafter(s, 0.0)
+    return s
+
+
+class TestBoxInputContract:
+    def test_largest_accepted_box_has_unit_self_iou(self):
+        s = _largest_square_side()
+        box = Box(0.0, 0.0, s, s)
+        assert iou(box, box) == 1.0
+        assert iou_matrix([box], [box])[0, 0] == 1.0
+        assert _iou_row(np.array(box.to_list()), box.area, np.array([box.to_list()]), np.array([box.area]))[0] == 1.0
+
+    def test_one_step_past_the_area_bound_rejected(self):
+        s = math.nextafter(_largest_square_side(), math.inf)
+        with pytest.raises(ValueError, match="area"):
+            Box(0.0, 0.0, s, s)
+
+    def test_huge_box_rejected_naming_the_area(self):
+        with pytest.raises(ValueError, match="area"):
+            Box(0, 0, 1e200, 1e200)
+
+    def test_huge_zero_area_box_allowed(self):
+        assert Box(-8e307, 5.0, 8e307, 5.0).area == 0.0
+
+    def test_width_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="area"):
+            Box(-1e308, 5.0, 1e308, 5.0)
+
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="bool"):
+            Box(True, 0, 1, 1)
+        with pytest.raises(ValueError, match="bool"):
+            Box(0.0, 0.0, 1.0, False)
+        with pytest.raises(ValueError, match="bool"):
+            Box.from_list([0, True, 1, 1])
+
+    def test_int_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Box(10**400, 0, 10**400, 1)
+
+    def test_non_numbers_rejected(self):
+        with pytest.raises(ValueError):
+            Box("0", 0, 1, 1)
+        with pytest.raises(ValueError):
+            Box(None, 0, 1, 1)
+
+    def test_numpy_float_coordinates_accepted(self):
+        assert Box(np.float64(0.0), 0.0, np.float64(2.0), 1.0).area == 2.0
+
+
+class TestIouRow:
+    @given(
+        boxes=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]) | st.floats(-50.0, 50.0),
+                st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]) | st.floats(-50.0, 50.0),
+                st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 40.0),
+                st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 40.0),
+            ).map(lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200)
+    def test_equals_scalar_iou_bit_for_bit(self, boxes):
+        corners = boxes_to_array(boxes)
+        areas = np.array([b.area for b in boxes])
+        for k, box in enumerate(boxes):
+            row = _iou_row(corners[k], areas[k], corners, areas)
+            assert row.tolist() == [iou(b, box) for b in boxes]

@@ -458,3 +458,55 @@ class TestSaturatedLogits:
         kind = ConfLossKind("gfocal")
         assert math.isfinite(confidence_loss(kind, self.z, self.y))
         assert np.isfinite(confidence_loss_grad(kind, self.z, self.y)).all()
+
+
+class TestNanRejected:
+    """NaN in a target, a logit or a loss parameter raises instead of returning NaN."""
+
+    nan = float("nan")
+
+    @pytest.mark.parametrize("name", ["l1", "smooth_l1", "l2", "ce", "weighted_ce", "gfocal"])
+    def test_nan_target(self, name):
+        with pytest.raises(ValueError, match="targets"):
+            confidence_loss(ConfLossKind(name), [0.0, 1.0], [self.nan, 0.5])
+        with pytest.raises(ValueError, match="targets"):
+            confidence_loss_grad(ConfLossKind(name), [0.0, 1.0], [0.5, self.nan])
+
+    @pytest.mark.parametrize("name", ["l1", "smooth_l1", "l2", "ce", "weighted_ce", "gfocal"])
+    def test_nan_logit(self, name):
+        with pytest.raises(ValueError, match="logits"):
+            confidence_loss(ConfLossKind(name), [self.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="logits"):
+            confidence_loss_grad(ConfLossKind(name), [0.0, self.nan], [0.5, 0.5])
+
+    def test_nan_logit_in_per_kind_function(self):
+        with pytest.raises(ValueError, match="logits"):
+            ce_confidence_loss([self.nan], [0.5])
+
+    def test_nan_logit_in_focal(self):
+        with pytest.raises(ValueError, match="logits"):
+            focal_loss([self.nan, 0.0], [True, False], 1)
+        with pytest.raises(ValueError, match="logits"):
+            focal_loss_grad([self.nan, 0.0], [True, False], 1)
+
+    def test_nan_in_sigmoid_regression_grad(self):
+        with pytest.raises(ValueError, match="logits"):
+            sigmoid_regression_grad("ce", 0.5, self.nan, np.ones(2))
+        with pytest.raises(ValueError, match="targets"):
+            sigmoid_regression_grad("l2", self.nan, 0.0, np.ones(2))
+
+    @pytest.mark.parametrize("field", ["w", "beta", "smooth_l1_threshold"])
+    def test_nan_loss_parameter(self, field):
+        with pytest.raises(ValueError):
+            ConfLossKind("weighted_ce", **{field: self.nan})
+
+    def test_nan_focal_gamma(self):
+        with pytest.raises(ValueError, match="gamma"):
+            FocalParams(gamma=self.nan)
+
+    @pytest.mark.parametrize("name", ["l1", "smooth_l1", "l2", "ce", "weighted_ce", "gfocal"])
+    def test_saturated_finite_logits_stay_valid(self, name):
+        z, y = [700.0, -700.0], [0.2, 0.9]
+        assert math.isfinite(confidence_loss(ConfLossKind(name), z, y))
+        assert np.isfinite(confidence_loss_grad(ConfLossKind(name), z, y)).all()
+        assert np.isfinite(sigmoid_regression_grad("ce", np.array(y), np.array(z), np.ones((2, 3)))).all()

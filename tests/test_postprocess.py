@@ -1,4 +1,7 @@
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -339,3 +342,52 @@ class TestJsonl:
         groups = group_by_image(dets)
         assert list(groups) == ["b", "a"]
         assert len(groups["b"]) == 2
+
+
+class TestInputContract:
+    def test_largest_box_duplicate_suppressed(self):
+        s = math.sqrt(sys.float_info.max / 2.0)
+        while not math.isfinite(2.0 * (s * s)):
+            s = math.nextafter(s, 0.0)
+        a = det(0.0, 0.0, s, s, 0.9)
+        b = det(0.0, 0.0, s, s, 0.8)
+        assert nms([b, a], CLS_NMS) == [a]
+
+    def test_bool_class_id_rejected(self):
+        with pytest.raises(ValueError, match="class_id"):
+            det(0, 0, 1, 1, 0.5, class_id=True)
+
+    @pytest.mark.parametrize("value", ["true", "false", "1.7", '"1"', "null"])
+    def test_loader_rejects_non_integral_class_id(self, tmp_path, value):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(
+            '{"image_id": "a", "box": [0, 0, 1, 1], "class_id": 0, "cls_score": 0.5}\n'
+            f'{{"image_id": "a", "box": [0, 0, 1, 1], "class_id": {value}, "cls_score": 0.5}}\n'
+        )
+        with pytest.raises(ValueError, match=r"dets\.jsonl: line 2: class_id"):
+            load_detections_jsonl(path)
+
+    def test_loader_accepts_integral_float_class_id(self):
+        record = {"image_id": "a", "box": [0, 0, 1, 1], "class_id": 2.0, "cls_score": 0.5}
+        loaded = detection_from_dict(record)
+        assert loaded.class_id == 2 and type(loaded.class_id) is int
+
+    def test_huge_box_in_dump_rejected_with_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text('{"image_id": "a", "box": [0, 0, 1e200, 1e200], "class_id": 0, "cls_score": 0.5}\n')
+        with pytest.raises(ValueError, match="line 1: box area"):
+            load_detections_jsonl(path)
+
+    def test_large_class_ids_are_separate_classes(self):
+        a = det(0, 0, 10, 10, 0.9, class_id=2**70)
+        b = det(0, 0, 10, 10, 0.8, class_id=2**70 + 1)
+        c = det(0, 0, 10, 10, 0.7, class_id=2**70)
+        assert nms([c, b, a], CLS_NMS) == [a, b]
+
+    def test_far_apart_boxes_kept_without_warnings(self):
+        a = det(-1e308, 0.0, -1e308, 0.0, 0.9)
+        b = det(1e308, 0.0, 1e308, 0.0, 0.8)
+        assert iou(a.box, b.box) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nms([a, b], NmsParams(iou_threshold=0.0, score_field="cls")) == [a, b]
