@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import GroundTruthBox
-from .geometry import Anchor, Box, iou_matrix
+from .assignment import GroundTruthBox, _best_matches
+from .geometry import Anchor, Box, _anchor_corners, iou_matrix
 from .postprocess import Detection
 
 __all__ = [
@@ -168,9 +168,9 @@ def compute_image_stats(
 
     positive_num = None
     if anchors is not None:
-        anchor_boxes = [a.box if isinstance(a, Anchor) else a for a in anchors]
-        if gts and anchor_boxes:
-            best = iou_matrix(anchor_boxes, [g.box for g in gts]).max(axis=1)
+        corners = _anchor_corners(anchors)
+        if gts and len(corners):
+            best = _best_matches(corners, gts)[0]
             positive_num = _count(best, positive_iou)
         else:
             positive_num = 0

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor, Box, BoxDelta, class_id_from_json, encode, iou_matrix
+from .geometry import Anchor, Box, BoxDelta, _anchor_corners, _iou_row, boxes_to_array, class_id_from_json, encode
 
 __all__ = [
     "NEGATIVE",
@@ -103,8 +103,33 @@ class AssignmentResult:
         return int(np.count_nonzero(self.positive_mask))
 
 
-def _as_boxes(anchors: Sequence[Anchor | Box]) -> list[Box]:
-    return [a.box if isinstance(a, Anchor) else a for a in anchors]
+def _best_matches(
+    corners: np.ndarray, gts: Sequence[GroundTruthBox]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Max-IoU matches between anchor corners and ground truths, without an n x m matrix.
+
+    Walks the ground truths in index order, one IoU column each (``iou``'s
+    arithmetic, via ``_iou_row``).  Returns each anchor's best IoU and its
+    ground truth, ties resolving to the lowest index, and each ground
+    truth's best anchor (lowest index on ties) and IoU.
+    """
+    gt = boxes_to_array(g.box for g in gts)
+    gt_areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
+    boxes = np.asfortranarray(corners)  # _iou_row reads one coordinate column at a time
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    best_iou = np.zeros(len(boxes))
+    best_gt = np.zeros(len(boxes), dtype=np.int64)
+    gt_best_anchor = np.zeros(len(gt), dtype=np.int64)
+    gt_best_iou = np.zeros(len(gt))
+    with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
+        for j in range(len(gt)):
+            col = _iou_row(gt[j], gt_areas[j], boxes, areas)
+            better = col > best_iou  # strict: an equal later column keeps the lower index
+            np.copyto(best_iou, col, where=better)
+            best_gt[better] = j
+            gt_best_anchor[j] = col.argmax()
+            gt_best_iou[j] = col[gt_best_anchor[j]]
+    return best_iou, best_gt, gt_best_anchor, gt_best_iou
 
 
 def assign(
@@ -123,8 +148,7 @@ def assign(
     """
     if len(anchors) == 0:
         raise ValueError("anchors must be non-empty")
-    boxes = _as_boxes(anchors)
-    n = len(boxes)
+    n = len(anchors)
 
     if len(gts) == 0:
         return AssignmentResult(
@@ -132,9 +156,7 @@ def assign(
             matched_iou=np.zeros(n),
         )
 
-    overlaps = iou_matrix(boxes, [g.box for g in gts])
-    best_gt = overlaps.argmax(axis=1)  # first max -> lowest gt index
-    best_iou = overlaps[np.arange(n), best_gt]
+    best_iou, best_gt, gt_best_anchor, gt_best_iou = _best_matches(_anchor_corners(anchors), gts)
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     labels[(best_iou >= cfg.neg_iou) & (best_iou < cfg.pos_iou)] = IGNORE
@@ -144,8 +166,6 @@ def assign(
     forced = np.zeros(n, dtype=bool)
 
     if cfg.force_match:
-        gt_best_anchor = overlaps.argmax(axis=0)  # first max -> lowest anchor index
-        gt_best_iou = overlaps.max(axis=0)
         for j in range(len(gts)):
             if gt_best_iou[j] <= 0.0:
                 continue  # this gt overlaps nothing; nothing sensible to force
@@ -155,7 +175,7 @@ def assign(
             if labels[i] == j:
                 continue  # would be positive for j anyway
             labels[i] = j
-            matched_iou[i] = overlaps[i, j]
+            matched_iou[i] = gt_best_iou[j]
             forced[i] = True
 
     return AssignmentResult(labels=labels, matched_iou=matched_iou, forced=forced)
@@ -182,15 +202,15 @@ def localization_targets(
 
     Output is in anchor order, one delta per positive anchor.
     """
-    boxes = _as_boxes(anchors)
-    if len(boxes) != result.n_total:
-        raise ValueError(f"result covers {result.n_total} anchors, got {len(boxes)}")
+    if len(anchors) != result.n_total:
+        raise ValueError(f"result covers {result.n_total} anchors, got {len(anchors)}")
     deltas = []
     for i in np.flatnonzero(result.positive_mask):
         j = int(result.labels[i])
         if j >= len(gts):
             raise ValueError(f"corrupt assignment: anchor {i} matched to missing gt {j}")
-        deltas.append(encode(boxes[i], gts[j].box))
+        anchor = anchors[i]
+        deltas.append(encode(anchor.box if isinstance(anchor, Anchor) else anchor, gts[j].box))
     return deltas
 
 

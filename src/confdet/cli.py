@@ -211,13 +211,8 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     )
     anchors = geometry.generate_anchors(config, args.image_w, args.image_h)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for anchor in anchors:
-            fh.write(
-                json.dumps(
-                    {"box": anchor.box.to_list(), "level": anchor.level, "cell": list(anchor.cell)}
-                )
-                + "\n"
-            )
+        for box, level, row, col in anchors._rows():
+            fh.write(json.dumps({"box": box, "level": level, "cell": [row, col]}) + "\n")
     print(f"wrote {len(anchors)} anchors")
     return 0
 

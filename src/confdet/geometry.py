@@ -7,8 +7,10 @@ exact continuous area ratio.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -249,7 +251,8 @@ def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
 
     lt = np.maximum(a[:, None, :2], b[None, :, :2])
     rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
+    with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
+        wh = np.clip(rb - lt, 0.0, None)
     inter = wh[:, :, 0] * wh[:, :, 1]
 
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
@@ -261,43 +264,106 @@ def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
     return out
 
 
-def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> list[Anchor]:
+class _AnchorGrid(Sequence[Anchor]):
+    """Read-only anchors held as one (n, 4) array of corners.
+
+    An :class:`Anchor` is built only when a caller indexes or iterates, so
+    tiling and array consumers such as ``assign`` never create ~10^5
+    objects.  Slicing returns a list, as slicing a list does.
+    """
+
+    def __init__(self, corners: np.ndarray, starts: list[int], cols: list[int], per_cell: int):
+        corners.flags.writeable = False
+        self.corners = corners
+        self._starts = starts  # first anchor index of each level
+        self._cols = cols
+        self._per_cell = per_cell
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("anchor index out of range")
+        level = bisect.bisect_right(self._starts, i) - 1
+        row, col = divmod((i - self._starts[level]) // self._per_cell, self._cols[level])
+        return Anchor(box=Box(*self.corners[i].tolist()), level=level, cell=(row, col))
+
+    def __iter__(self):
+        for corners, level, row, col in self._rows():
+            yield Anchor(box=Box(*corners), level=level, cell=(row, col))
+
+    def _rows(self):
+        """Yield ([x1, y1, x2, y2], level, row, col) for every anchor in order, as Python numbers."""
+        ends = self._starts[1:] + [len(self)]
+        for level, (start, end, cols) in enumerate(zip(self._starts, ends, self._cols)):
+            per_row = cols * self._per_cell
+            for row, row_start in enumerate(range(start, end, per_row)):
+                for k, corners in enumerate(self.corners[row_start : row_start + per_row].tolist()):
+                    yield corners, level, row, k // self._per_cell
+
+
+def _anchor_corners(anchors: Sequence[Anchor | Box]) -> np.ndarray:
+    """(n, 4) corners of a :func:`generate_anchors` grid or of any anchors or boxes."""
+    if isinstance(anchors, _AnchorGrid):
+        return anchors.corners
+    return boxes_to_array(a.box if isinstance(a, Anchor) else a for a in anchors)
+
+
+def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Sequence[Anchor]:
     """Tile anchors over every pyramid level of an image.
 
     Level l gets a ceil(h / stride_l) x ceil(w / stride_l) grid; each cell
     holds one anchor per (scale, ratio) pair, centered at
     ((col + 0.5) * stride, (row + 0.5) * stride) with
     width = base * scale * sqrt(1 / ratio) and height = base * scale * sqrt(ratio).
+    Anchors run level by level, then by row, column, scale and ratio.
 
     Total count is sum over levels of rows * cols * |scales| * |ratios|.
+    The result is a read-only sequence that builds each :class:`Anchor` on
+    access; call ``list(...)`` on it when a list is needed.
     """
+    if isinstance(image_w, bool) or isinstance(image_h, bool):
+        raise ValueError(f"image dimensions must be numbers, not bool; got {image_w}x{image_h}")
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"image dimensions must be positive, got {image_w}x{image_h}")
 
-    shapes = []
-    for scale in config.scales:
-        for ratio in config.ratios:
-            shapes.append((scale * math.sqrt(1.0 / ratio), scale * math.sqrt(ratio)))
+    shapes = [(s * math.sqrt(1.0 / r), s * math.sqrt(r)) for s in config.scales for r in config.ratios]
+    wf = np.array([w for w, _ in shapes])
+    hf = np.array([h for _, h in shapes])
 
-    anchors: list[Anchor] = []
-    for level, (stride, base) in enumerate(zip(config.strides, config.base_sizes)):
-        rows = math.ceil(image_h / stride)
-        cols = math.ceil(image_w / stride)
-        for row in range(rows):
-            cy = (row + 0.5) * stride
-            for col in range(cols):
-                cx = (col + 0.5) * stride
-                for wf, hf in shapes:
-                    half_w = 0.5 * base * wf
-                    half_h = 0.5 * base * hf
-                    anchors.append(
-                        Anchor(
-                            box=Box(cx - half_w, cy - half_h, cx + half_w, cy + half_h),
-                            level=level,
-                            cell=(row, col),
-                        )
-                    )
-    return anchors
+    grids = [(math.ceil(image_h / stride), math.ceil(image_w / stride)) for stride in config.strides]
+    sizes = [rows * cols * len(shapes) for rows, cols in grids]
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    corners = np.empty((sum(sizes), 4))
+    # Overflow gives an infinite corner or area, which Box's check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (rows, cols), start, size, stride, base in zip(grids, starts, sizes, config.strides, config.base_sizes):
+            # Each corner is (col + 0.5) * stride -/+ (0.5 * base) * wf, and likewise
+            # for rows: the per-anchor float operations in the per-anchor order, so
+            # the corners match a scalar loop over the formula bit for bit.
+            cx = ((np.arange(cols) + 0.5) * stride)[None, :, None]
+            cy = ((np.arange(rows) + 0.5) * stride)[:, None, None]
+            half_w = 0.5 * base * wf
+            half_h = 0.5 * base * hf
+            level = corners[start : start + size].reshape(rows, cols, len(shapes), 4)
+            level[..., 0] = cx - half_w
+            level[..., 1] = cy - half_h
+            level[..., 2] = cx + half_w
+            level[..., 3] = cy + half_h
+
+        # Box's checks in bulk.  A finite 2 * area also means finite corners: an
+        # infinite or NaN corner makes a side, and so the area, infinite or NaN.
+        ok = np.isfinite(2.0 * ((corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])))
+    if not ok.all():
+        Box(*corners[np.argmin(ok)].tolist())  # raises Box's error for the first bad anchor
+
+    return _AnchorGrid(corners, starts, [cols for _, cols in grids], len(shapes))
 
 
 def encode(anchor: Box, target: Box) -> BoxDelta:
