@@ -310,7 +310,7 @@ def misalignment_summary(dets: Sequence[Detection], gts: Sequence[GroundTruthBox
     return np.column_stack([ious, cls]) if len(dets) else np.zeros((0, 2))
 
 
-def write_scatter_csv(pairs: np.ndarray, path) -> None:
+def write_scatter_csv(pairs: Iterable[Sequence[float]], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["max_iou", "cls_score"])

@@ -7,13 +7,14 @@ each ground truth's best anchor to positive so no target goes unmatched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor, Box, BoxDelta, _anchor_corners, _iou_row, boxes_to_array, class_id_from_json, encode
+from .geometry import (
+    Anchor, Box, BoxDelta, _anchor_corners, _iou_row, boxes_to_array, class_id_from_json, encode, read_jsonl,
+)
 
 __all__ = [
     "NEGATIVE",
@@ -214,6 +215,11 @@ def localization_targets(
     return deltas
 
 
+def _image_gt_from_dict(record: dict) -> tuple[str, GroundTruthBox]:
+    gt = GroundTruthBox(box=Box.from_list(record["box"]), class_id=class_id_from_json(record["class_id"]))
+    return str(record["image_id"]), gt
+
+
 def load_ground_truth_jsonl(path) -> dict[str, list[GroundTruthBox]]:
     """Read ground truth grouped by image from JSON lines.
 
@@ -221,19 +227,6 @@ def load_ground_truth_jsonl(path) -> dict[str, list[GroundTruthBox]]:
     Image order follows first appearance.
     """
     per_image: dict[str, list[GroundTruthBox]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                gt = GroundTruthBox(
-                    box=Box.from_list(record["box"]),
-                    class_id=class_id_from_json(record["class_id"]),
-                )
-                image_id = str(record["image_id"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            per_image.setdefault(image_id, []).append(gt)
+    for image_id, gt in read_jsonl(path, _image_gt_from_dict):
+        per_image.setdefault(image_id, []).append(gt)
     return per_image

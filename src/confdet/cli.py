@@ -50,11 +50,11 @@ def _csv_ints(text: str) -> list[int]:
 # ---------------------------------------------------------------- nms
 
 _NMS_DEFAULTS = {
-    "alpha": 0.4,
-    "mode": "product",
-    "iou_thresh": 0.5,
-    "score_thresh": 0.05,
-    "obj_gate": None,
+    "alpha": FusionParams.alpha,
+    "mode": FusionParams.mode,
+    "iou_thresh": NmsParams.iou_threshold,
+    "score_thresh": NmsParams.score_threshold,
+    "obj_gate": FusionParams.obj_gate,
     "topk": None,
 }
 
@@ -76,53 +76,43 @@ def cmd_nms(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-_ANALYZE_DEFAULTS = {
-    "conditions": "iou>0.5,cls>0.5",
-    "positive_iou": 0.5,
-}
-
-
-def _stats_from_dumps(args) -> list[analysis.ImageStats]:
-    before = postprocess.group_by_image(postprocess.load_detections_jsonl(args.before))
-    after = postprocess.group_by_image(postprocess.load_detections_jsonl(args.after))
-    after_only = [image_id for image_id in after if image_id not in before]
-    if after_only:
-        raise ValueError(f"{args.after}: images missing from --before: {after_only}")
-    gts = assignment.load_ground_truth_jsonl(args.gts) if args.gts else {}
-    conditions = [analysis.Condition.parse(c) for c in args.conditions.split(",")]
-    if analysis.TOTAL_CONDITION not in conditions:
-        conditions.append(analysis.TOTAL_CONDITION)
-
-    stats = []
-    for image_id, image_before in before.items():
-        stats.append(
-            analysis.compute_image_stats(
-                image_before,
-                after.get(image_id, []),
-                gts.get(image_id, []),
-                conditions=conditions,
-                positive_iou=args.positive_iou,
-            )
-        )
-    return stats
+_ANALYZE_DEFAULTS = {"conditions": "iou>0.5,cls>0.5"}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     args = _resolve(args, _ANALYZE_DEFAULTS)
     if (args.counts is None) == (args.before is None):
         raise ValueError("provide either --counts or --before/--after dumps")
+    if args.before is not None and args.after is None:
+        raise ValueError("--before needs --after")
+    if args.out_scatter and (args.before is None or args.gts is None):
+        raise ValueError("--out-scatter needs --before and --gts dumps")
+    conditions = [analysis.Condition.parse(text) for text in args.conditions.split(",")]
+
+    scatter = []
     if args.counts is not None:
         stats = analysis.ingest_count_table(args.counts)
     else:
-        if args.after is None:
-            raise ValueError("--before needs --after")
-        stats = _stats_from_dumps(args)
+        before = postprocess.group_by_image(postprocess.load_detections_jsonl(args.before))
+        after = postprocess.group_by_image(postprocess.load_detections_jsonl(args.after))
+        after_only = [image_id for image_id in after if image_id not in before]
+        if after_only:
+            raise ValueError(f"{args.after}: images missing from --before: {after_only}")
+        gts = assignment.load_ground_truth_jsonl(args.gts) if args.gts else {}
+        total = analysis.TOTAL_CONDITION
+        counted = conditions if total in conditions else [*conditions, total]
+        stats = []
+        for image_id, image_before in before.items():
+            image_gts = gts.get(image_id, [])
+            stats.append(
+                analysis.compute_image_stats(
+                    image_before, after.get(image_id, []), image_gts, conditions=counted
+                )
+            )
+            if args.out_scatter:
+                scatter.extend(analysis.misalignment_summary(image_before, image_gts))
 
-    reports = []
-    for text in args.conditions.split(","):
-        cond = analysis.Condition.parse(text)
-        reports.append(analysis.proportions_from_counts(stats, cond))
-
+    reports = [analysis.proportions_from_counts(stats, cond) for cond in conditions]
     if args.out_stats:
         analysis.emit_count_table(stats, args.out_stats)
     if args.out_report:
@@ -131,17 +121,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.out_scatter:
-        if args.before is None or args.gts is None:
-            raise ValueError("--out-scatter needs --before and --gts dumps")
-        dets = postprocess.load_detections_jsonl(args.before)
-        gts = assignment.load_ground_truth_jsonl(args.gts)
-        rows = []
-        for image_id, image_dets in postprocess.group_by_image(dets).items():
-            pairs = analysis.misalignment_summary(image_dets, gts.get(image_id, []))
-            rows.extend(pairs)
-        import numpy as np
-
-        analysis.write_scatter_csv(np.array(rows).reshape(-1, 2), args.out_scatter)
+        analysis.write_scatter_csv(scatter, args.out_scatter)
 
     for report in reports:
         avg = analysis.round_half_up(report.average_delta_pp)
@@ -165,11 +145,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- toytrain
 
 _TOYTRAIN_DEFAULTS = {
-    "loss": "ce",
-    "init": "zeros",
-    "lr": 0.5,
-    "iters": 2000,
-    "seed": 0,
+    "loss": toytrain.ToyTrainConfig.loss_kind,
+    "init": toytrain.ToyTrainConfig.init,
+    "lr": toytrain.ToyTrainConfig.learning_rate,
+    "iters": toytrain.ToyTrainConfig.max_iters,
+    "seed": toytrain.ToyTrainConfig.seed,
     "n": 200,
     "d": 3,
     "noise": 0.1,
@@ -219,23 +199,17 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- assign
 
-_ASSIGN_DEFAULTS = {"pos_iou": 0.5, "neg_iou": 0.4, "image_id": None}
+_ASSIGN_DEFAULTS = {
+    "pos_iou": assignment.AssignerConfig.pos_iou,
+    "neg_iou": assignment.AssignerConfig.neg_iou,
+    "image_id": None,
+}
 
 _LABEL_NAMES = {assignment.NEGATIVE: "negative", assignment.IGNORE: "ignore"}
 
 
 def _load_anchor_boxes(path) -> list[geometry.Box]:
-    boxes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                boxes.append(geometry.Box.from_list(json.loads(line)["box"]))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return boxes
+    return list(geometry.read_jsonl(path, lambda record: geometry.Box.from_list(record["box"])))
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
@@ -299,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gts", help="ground truth (JSON lines)")
     p.add_argument("--counts", help="count-table CSV instead of raw dumps")
     p.add_argument("--conditions", help="comma list, e.g. 'iou>0.5,cls>0.5'")
-    p.add_argument("--positive-iou", dest="positive_iou", type=float, help="anchor positivity threshold")
     p.add_argument("--out-stats", dest="out_stats", help="write count-table CSV here")
     p.add_argument("--out-report", dest="out_report", help="write proportion-report JSON here")
     p.add_argument("--out-scatter", dest="out_scatter", help="write (max_iou, cls_score) CSV here")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,6 +106,28 @@ def class_id_from_json(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"class_id must be an integer, got {value!r}")
     return value
+
+
+def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
+    """Yield ``parse(record)`` for each JSON object line of ``path``.
+
+    Lines are numbered from 1 and blank lines are skipped.  A line that is
+    not JSON or not a JSON object, or whose record ``parse`` rejects, raises
+    ``ValueError`` prefixed with ``path: line N:``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"each record must be a JSON object, got {type(record).__name__}")
+                value = parse(record)
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            yield value
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fusion import FusionParams, fuse, gate
-from .geometry import Box, _iou_row, boxes_to_array, class_id_from_json
+from .geometry import Box, _iou_row, boxes_to_array, class_id_from_json, read_jsonl
 
 __all__ = [
     "Detection",
@@ -203,17 +203,7 @@ def detection_from_dict(record: dict) -> Detection:
 
 def load_detections_jsonl(path) -> list[Detection]:
     """Read a detection dump (one JSON object per line)."""
-    dets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                dets.append(detection_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return dets
+    return list(read_jsonl(path, detection_from_dict))
 
 
 def dump_detections_jsonl(dets: Iterable[Detection], path, include_fused: bool = True) -> None:

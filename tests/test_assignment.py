@@ -231,6 +231,20 @@ class TestGroundTruthJsonl:
             load_ground_truth_jsonl(path)
 
 
+    @pytest.mark.parametrize("line", ["[1, 2, 3]", "null", '"a"'])
+    def test_non_object_line_rejected_with_number(self, tmp_path, line):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(f'{{"image_id": "a", "box": [0, 0, 10, 10], "class_id": 1}}\n{line}\n')
+        with pytest.raises(ValueError, match=r"gt\.jsonl: line 2: each record must be a JSON object"):
+            load_ground_truth_jsonl(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text('\n  \n{"image_id": "a", "box": [0, 0, 10, 10], "class_id": 1}\n\n{"box": 5}\n')
+        with pytest.raises(ValueError, match=r"gt\.jsonl: line 5: "):
+            load_ground_truth_jsonl(path)
+
+
 def test_result_invariants():
     rng = np.random.default_rng(7)
     anchors = [Box(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0, 25, (20, 4)) + 1]

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from confdet import assignment, postprocess
 from confdet.analysis import bundled_count_table
+from confdet.assignment import AssignerConfig
 from confdet.cli import main
+from confdet.fusion import FusionParams
 from confdet.geometry import AnchorGridConfig, Box
 from confdet.postprocess import (
     Detection,
@@ -15,6 +18,7 @@ from confdet.postprocess import (
     nms,
     score_filter,
 )
+from confdet.toytrain import ToyTrainConfig
 
 
 def det(x1, y1, x2, y2, cls_score, class_id=0, obj=None, image_id="img"):
@@ -115,6 +119,13 @@ class TestNmsCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["[1, 2, 3]", "null"])
+    def test_non_object_line_exit_code_and_line(self, tmp_path, capsys, line):
+        src = tmp_path / "in.jsonl"
+        src.write_text(line + "\n")
+        assert main(["nms", str(src), str(tmp_path / "out.jsonl")]) == 2
+        assert "in.jsonl: line 1: each record must be a JSON object" in capsys.readouterr().err
+
 class TestAnalyzeCommand:
     def test_counts_mode_iou_golden(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -200,6 +211,45 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "images missing from --before" in err
         assert "'ghost-1', 'ghost-2'" in err
+
+    def test_reads_each_input_once(self, tmp_path, monkeypatch):
+        before_path = tmp_path / "before.jsonl"
+        dets = random_dump(before_path, seed=8, n=10)
+        after_path = tmp_path / "after.jsonl"
+        dump_detections_jsonl(dets[:4], after_path, include_fused=False)
+        gts_path = tmp_path / "gt.jsonl"
+        gts_path.write_text(json.dumps({"image_id": "img", "box": [0, 0, 50, 50], "class_id": 0}) + "\n")
+        loaded = []
+        for module, name in ((postprocess, "load_detections_jsonl"), (assignment, "load_ground_truth_jsonl")):
+            def counting(path, _load=getattr(module, name)):
+                loaded.append(str(path))
+                return _load(path)
+            monkeypatch.setattr(module, name, counting)
+        code = main([
+            "analyze", "--before", str(before_path), "--after", str(after_path),
+            "--gts", str(gts_path), "--out-stats", str(tmp_path / "s.csv"),
+            "--out-report", str(tmp_path / "r.json"), "--out-scatter", str(tmp_path / "sc.csv"),
+        ])
+        assert code == 0
+        assert sorted(loaded) == sorted([str(before_path), str(after_path), str(gts_path)])
+
+    def test_flag_checks_precede_any_write(self, tmp_path, capsys):
+        report, scatter = tmp_path / "r.json", tmp_path / "s.csv"
+        code = main([
+            "analyze", "--counts", str(bundled_count_table()),
+            "--out-report", str(report), "--out-scatter", str(scatter),
+        ])
+        assert code == 2
+        assert "--out-scatter needs --before and --gts" in capsys.readouterr().err
+        assert not report.exists() and not scatter.exists()
+
+    def test_positive_iou_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--counts", str(bundled_count_table()), "--positive-iou", "0.5"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"positive_iou": 0.5}))
+        assert main(["analyze", "--counts", str(bundled_count_table()), "--config", str(config)]) == 2
+        assert "unknown keys: ['positive_iou']" in capsys.readouterr().err
 
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):
         assert main(["analyze", "--conditions", "iou>0.5"]) == 2
@@ -309,6 +359,16 @@ class TestAnchorsAndAssignCommands:
         assert "--image-id required" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ['{"box": 5}', "[0, 0, 16, 16]", '{"box": [0, 0, 1' + "0" * 400 + ', 1]}'])
+    def test_bad_anchor_line_exit_code_and_line(self, tmp_path, capsys, line):
+        anchors_path = tmp_path / "anchors.jsonl"
+        anchors_path.write_text(line + "\n")
+        gts_path = tmp_path / "gt.jsonl"
+        gts_path.write_text(json.dumps({"image_id": "i", "box": [8, 8, 32, 32], "class_id": 0}) + "\n")
+        out = tmp_path / "labels.jsonl"
+        assert main(["assign", str(out), "--anchors", str(anchors_path), "--gts", str(gts_path)]) == 2
+        assert "anchors.jsonl: line 1: " in capsys.readouterr().err
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -348,3 +408,18 @@ def test_retinanet_defaults_are_cli_defaults():
     assert tuple(_csv_floats(_ANCHORS_DEFAULTS["base_sizes"])) == config.base_sizes
     assert tuple(_csv_floats(_ANCHORS_DEFAULTS["scales"])) == pytest.approx(config.scales)
     assert tuple(_csv_floats(_ANCHORS_DEFAULTS["ratios"])) == config.ratios
+
+
+def test_cli_defaults_are_library_defaults():
+    from confdet.cli import _ASSIGN_DEFAULTS, _NMS_DEFAULTS, _TOYTRAIN_DEFAULTS
+
+    fusion, nms_params = FusionParams(), NmsParams()
+    assert (_NMS_DEFAULTS["alpha"], _NMS_DEFAULTS["mode"], _NMS_DEFAULTS["obj_gate"]) == (
+        fusion.alpha, fusion.mode, fusion.obj_gate)
+    assert (_NMS_DEFAULTS["iou_thresh"], _NMS_DEFAULTS["score_thresh"]) == (
+        nms_params.iou_threshold, nms_params.score_threshold)
+    cfg = AssignerConfig()
+    assert (_ASSIGN_DEFAULTS["pos_iou"], _ASSIGN_DEFAULTS["neg_iou"]) == (cfg.pos_iou, cfg.neg_iou)
+    toy = ToyTrainConfig()
+    assert [_TOYTRAIN_DEFAULTS[k] for k in ("loss", "init", "lr", "iters", "seed")] == [
+        toy.loss_kind, toy.init, toy.learning_rate, toy.max_iters, toy.seed]

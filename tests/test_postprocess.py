@@ -333,6 +333,25 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             load_detections_jsonl(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2, 3]", "null", '"box"', "7"])
+    def test_non_object_line_rejected_with_number(self, tmp_path, line):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(f"\n{line}\n")
+        with pytest.raises(ValueError, match=r"dets\.jsonl: line 2: each record must be a JSON object"):
+            load_detections_jsonl(path)
+
+    def test_int_beyond_float_range_rejected_with_number(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(f'{{"image_id": "a", "box": [0, 0, 1{"0" * 400}, 1], "class_id": 0, "cls_score": 0.5}}\n')
+        with pytest.raises(ValueError, match=r"dets\.jsonl: line 1: "):
+            load_detections_jsonl(path)
+
+    def test_deeply_nested_line_rejected_with_number(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=r"dets\.jsonl: line 1: "):
+            load_detections_jsonl(path)
+
     def test_group_by_image_preserves_order(self):
         dets = [
             det(0, 0, 1, 1, 0.5, image_id="b"),
