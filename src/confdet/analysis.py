@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruthBox, _best_matches
-from .geometry import Anchor, Box, _anchor_corners, iou_matrix
-from .postprocess import Detection
+from .geometry import Anchor, Box, _corners, iou_matrix
+from .postprocess import Detection, _Detections
 
 __all__ = [
     "CLS",
@@ -117,12 +117,12 @@ class ProportionReport:
 
 def max_iou_to_gts(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> np.ndarray:
     """Best IoU of each detection over all ground-truth boxes, class-agnostic."""
-    if not dets:
+    corners = _Detections.of(dets).corners
+    if not len(corners):
         return np.zeros(0)
     if not gts:
-        return np.zeros(len(dets))
-    m = iou_matrix([d.box for d in dets], [g.box for g in gts])
-    return m.max(axis=1)
+        return np.zeros(len(corners))
+    return iou_matrix(corners, [g.box for g in gts]).max(axis=1)
 
 
 def _count(values: np.ndarray, threshold: float) -> int:
@@ -143,17 +143,33 @@ def compute_image_stats(
     with no ground truth they count zero (a warning is emitted).  Totals are
     always the counts above the 0.05 classification floor.
     """
-    image_ids = {d.image_id for d in list(dets_before) + list(dets_after)}
+    dets_before = _Detections.of(dets_before)
+    return _image_stats(
+        dets_before, dets_after, gts, max_iou_to_gts(dets_before, gts), anchors, conditions, positive_iou
+    )
+
+
+def _image_stats(
+    dets_before: _Detections,
+    dets_after: Sequence[Detection],
+    gts: Sequence[GroundTruthBox],
+    iou_before: np.ndarray,
+    anchors: Sequence[Anchor | Box] | None = None,
+    conditions: Iterable[Condition] = (),
+    positive_iou: float = 0.5,
+) -> ImageStats:
+    """:func:`compute_image_stats` given the before-NMS detections' best IoUs."""
+    dets_after = _Detections.of(dets_after)
+    image_ids = dets_before.image_id_set() | dets_after.image_id_set()
     if len(image_ids) > 1:
         raise ValueError(f"stats expect a single image, got ids {sorted(image_ids)}")
     image_id = next(iter(image_ids)) if image_ids else ""
 
     conditions = list(conditions)
-    cls_before = np.array([d.cls_score for d in dets_before], dtype=float)
-    cls_after = np.array([d.cls_score for d in dets_after], dtype=float)
+    cls_before = dets_before.cls
+    cls_after = dets_after.cls
     if any(c.kind == IOU for c in conditions) and not gts:
         warnings.warn(f"image {image_id!r}: IoU conditions counted as zero (no ground truth)")
-    iou_before = max_iou_to_gts(dets_before, gts)
     iou_after = max_iou_to_gts(dets_after, gts)
 
     before: dict[Condition, int] = {}
@@ -168,7 +184,7 @@ def compute_image_stats(
 
     positive_num = None
     if anchors is not None:
-        corners = _anchor_corners(anchors)
+        corners = _corners(anchors)
         if gts and len(corners):
             best = _best_matches(corners, gts)[0]
             positive_num = _count(best, positive_iou)
@@ -305,9 +321,8 @@ def misalignment_summary(dets: Sequence[Detection], gts: Sequence[GroundTruthBox
     The raw material for score-vs-IoU scatter plots; with no ground truth
     all IoU values are zero.
     """
-    ious = max_iou_to_gts(dets, gts)
-    cls = np.array([d.cls_score for d in dets], dtype=float)
-    return np.column_stack([ious, cls]) if len(dets) else np.zeros((0, 2))
+    dets = _Detections.of(dets)
+    return np.column_stack([max_iou_to_gts(dets, gts), dets.cls]) if len(dets) else np.zeros((0, 2))
 
 
 def write_scatter_csv(pairs: Iterable[Sequence[float]], path) -> None:

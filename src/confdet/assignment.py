@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Anchor, Box, BoxDelta, _anchor_corners, _iou_row, boxes_to_array, class_id_from_json, encode, read_jsonl,
+    Anchor, Box, BoxDelta, _corners, _iou_row, boxes_to_array, class_id_from_json, encode, read_jsonl,
 )
 
 __all__ = [
@@ -157,7 +157,7 @@ def assign(
             matched_iou=np.zeros(n),
         )
 
-    best_iou, best_gt, gt_best_anchor, gt_best_iou = _best_matches(_anchor_corners(anchors), gts)
+    best_iou, best_gt, gt_best_anchor, gt_best_iou = _best_matches(_corners(anchors), gts)
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     labels[(best_iou >= cfg.neg_iou) & (best_iou < cfg.pos_iou)] = IGNORE

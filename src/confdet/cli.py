@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from . import analysis, assignment, geometry, postprocess, toytrain
@@ -65,12 +66,11 @@ def cmd_nms(args: argparse.Namespace) -> int:
     nms_params = NmsParams(iou_threshold=args.iou_thresh, score_threshold=args.score_thresh)
 
     dets = postprocess.load_detections_jsonl(args.input)
-    survivors = []
-    for image_dets in postprocess.group_by_image(dets).values():
-        survivors.extend(
-            postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk)
-        )
-    postprocess.dump_detections_jsonl(survivors, args.output)
+    survivors = [
+        postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk)
+        for image_dets in postprocess.group_by_image(dets).values()
+    ]
+    postprocess.dump_detections_jsonl(dets.concat(survivors), args.output)
     return 0
 
 
@@ -104,13 +104,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         stats = []
         for image_id, image_before in before.items():
             image_gts = gts.get(image_id, [])
+            # each image's best IoUs to ground truth feed both the counts and the scatter rows
+            iou_before = analysis.max_iou_to_gts(image_before, image_gts)
             stats.append(
-                analysis.compute_image_stats(
-                    image_before, after.get(image_id, []), image_gts, conditions=counted
-                )
+                analysis._image_stats(image_before, after.get(image_id, []), image_gts, iou_before, conditions=counted)
             )
             if args.out_scatter:
-                scatter.extend(analysis.misalignment_summary(image_before, image_gts))
+                scatter.extend(zip(iou_before.tolist(), image_before.cls.tolist()))
 
     reports = [analysis.proportions_from_counts(stats, cond) for cond in conditions]
     if args.out_stats:
@@ -208,13 +208,21 @@ _ASSIGN_DEFAULTS = {
 _LABEL_NAMES = {assignment.NEGATIVE: "negative", assignment.IGNORE: "ignore"}
 
 
-def _load_anchor_boxes(path) -> list[geometry.Box]:
-    return list(geometry.read_jsonl(path, lambda record: geometry.Box.from_list(record["box"])))
+def _load_anchor_corners(path):
+    """(n, 4) corners of an anchor file, with ``Box``'s checks run in bulk.
+
+    When they cannot vouch for every box, the file is read again box by
+    box, so that the first bad line raises ``Box.from_list``'s own error.
+    """
+    try:
+        return geometry._corners_from_json(geometry.read_jsonl(path, operator.itemgetter("box")))
+    except (ValueError, OverflowError):
+        return geometry.boxes_to_array(geometry.read_jsonl(path, lambda record: geometry.Box.from_list(record["box"])))
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
     args = _resolve(args, _ASSIGN_DEFAULTS)
-    anchors = _load_anchor_boxes(args.anchors)
+    anchors = _load_anchor_corners(args.anchors)
     per_image = assignment.load_ground_truth_jsonl(args.gts)
     image_id = args.image_id
     if image_id is None:
@@ -230,17 +238,17 @@ def cmd_assign(args: argparse.Namespace) -> int:
         pos_iou=args.pos_iou, neg_iou=args.neg_iou, force_match=not args.no_force_match
     )
     result = assignment.assign(anchors, per_image[image_id], cfg)
+    columns = zip(result.labels.tolist(), result.matched_iou.tolist(), result.forced.tolist())
     with open(args.output, "w", encoding="utf-8") as fh:
-        for i in range(result.n_total):
-            label = int(result.labels[i])
+        for i, (label, matched_iou, forced) in enumerate(columns):
             fh.write(
                 json.dumps(
                     {
                         "index": i,
                         "label": _LABEL_NAMES.get(label, "positive"),
                         "gt_index": label if label >= 0 else None,
-                        "matched_iou": float(result.matched_iou[i]),
-                        "forced": bool(result.forced[i]),
+                        "matched_iou": matched_iou,
+                        "forced": forced,
                     }
                 )
                 + "\n"

@@ -53,31 +53,40 @@ def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> flo
     """
     if not 0.0 <= cls_score <= 1.0:
         raise ValueError(f"cls_score must be in [0, 1], got {cls_score}")
+    if params.mode != CLS_ONLY:
+        if obj_score is None:
+            raise ValueError(f"fusion mode {params.mode!r} needs obj_score, got None")
+        if not 0.0 <= obj_score <= 1.0:
+            raise ValueError(f"obj_score must be in [0, 1], got {obj_score}")
+    return _fuse_lists([cls_score], [obj_score], params)[0]
+
+
+def _fuse_lists(cls: list[float], obj: list, params: FusionParams) -> list[float]:
+    """:func:`fuse` of each (cls, obj) pair of already checked scores.
+
+    Python floats and ``**`` throughout: numpy's power differs from it in
+    the last bit on about one fused score in ten, which would change
+    output bytes and can reorder near-ties.
+    """
     if params.mode == CLS_ONLY:
-        return cls_score
-    if obj_score is None:
-        raise ValueError(f"fusion mode {params.mode!r} needs obj_score, got None")
-    if not 0.0 <= obj_score <= 1.0:
-        raise ValueError(f"obj_score must be in [0, 1], got {obj_score}")
+        return list(cls)
     if params.mode == MULTIPLY:
-        return obj_score * cls_score
-    if params.alpha == 0.0 or obj_score == cls_score:
-        return cls_score
-    if params.alpha == 1.0:
-        return obj_score
-    return obj_score**params.alpha * cls_score ** (1.0 - params.alpha)
+        return [o * c for c, o in zip(cls, obj)]
+    a, b = params.alpha, 1.0 - params.alpha
+    if a == 0.0:
+        return list(cls)
+    if a == 1.0:
+        return [c if o == c else o for c, o in zip(cls, obj)]
+    return [c if o == c else o**a * c**b for c, o in zip(cls, obj)]
 
 
 def gate(dets: Iterable["Detection"], threshold: float) -> list["Detection"]:
     """Keep detections whose object confidence is strictly above ``threshold``.
 
     Input order is preserved; a detection without an object confidence is
-    rejected.
+    rejected.  Columnar input, such as a :func:`~confdet.postprocess.group_by_image`
+    view, gives a view; a plain iterable gives a list of its own objects.
     """
-    kept = []
-    for det in dets:
-        if det.obj_score is None:
-            raise ValueError(f"detection has no obj_score to gate on: {det}")
-        if det.obj_score > threshold:
-            kept.append(det)
-    return kept
+    from .postprocess import _gate  # postprocess imports this module as it loads
+
+    return _gate(dets, threshold)

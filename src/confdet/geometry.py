@@ -108,26 +108,78 @@ def class_id_from_json(value) -> int:
     return value
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
     """Yield ``parse(record)`` for each JSON object line of ``path``.
 
-    Lines are numbered from 1 and blank lines are skipped.  A line that is
-    not JSON or not a JSON object, or whose record ``parse`` rejects, raises
-    ``ValueError`` prefixed with ``path: line N:``.
+    Lines are split at universal newlines, numbered from 1, decoded as
+    UTF-8 one by one, and skipped when blank.  A line that is not UTF-8,
+    not JSON or not a JSON object, or whose record ``parse`` rejects,
+    raises ``ValueError`` prefixed with ``path: line N:``.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        # bytes.splitlines splits at \n, \r and \r\n, as text mode does; a \r\n never straddles two \n-lines
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, 1):
             try:
-                record = json.loads(line)
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                try:
+                    record, end = _raw_decode(line)  # json.loads without its wrapper, a third of its cost here
+                except ValueError:
+                    end = None
+                if end != len(line):  # not one JSON value: json.loads raises its own error
+                    record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"each record must be a JSON object, got {type(record).__name__}")
                 value = parse(record)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             yield value
+
+
+def _box_ok(corners: np.ndarray) -> np.ndarray:
+    """Box's checks on each row of (n, 4) float corners, in bulk.
+
+    A finite 2 * area also means finite corners: an infinite or NaN corner
+    makes a side, and so the area, infinite or NaN.
+    """
+    x1, y1, x2, y2 = corners.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x2 >= x1) & (y2 >= y1) & np.isfinite(2.0 * ((x2 - x1) * (y2 - y1)))
+
+
+def _batches(items: Iterable, size: int = 4096) -> Iterator[list]:
+    """Consecutive lists of up to ``size`` items, as ``itertools.batched`` gives from Python 3.12."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, size)), [])
+
+
+def _corners_from_json(boxes: Iterable) -> np.ndarray:
+    """(n, 4) corners of parsed JSON boxes, with :meth:`Box.from_list`'s checks run in bulk.
+
+    Boxes are converted a few thousand at a time.  Only lists of four plain
+    numbers are taken; anything else, and any box that ``Box`` rejects,
+    raises ``ValueError`` (``OverflowError`` for an int beyond the float
+    range).  The caller then redoes its records one by one, so that the
+    error, or the value of an odd input that ``from_list`` still accepts
+    (a numeric string), is the per-box one.
+    """
+    parts = [np.zeros((0, 4))]
+    for batch in _batches(boxes):
+        if set(map(type, batch)) - {list} or set(map(len, batch)) - {4}:
+            raise ValueError("a box that is not a list of four values")
+        coords = list(itertools.chain.from_iterable(batch))
+        if set(map(type, coords)) - {int, float}:
+            raise ValueError("box coordinates other than plain numbers")
+        corners = np.fromiter(coords, dtype=np.float64, count=len(coords)).reshape(-1, 4)
+        if not _box_ok(corners).all():
+            raise ValueError("a box that Box rejects")
+        parts.append(corners)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -266,9 +318,12 @@ def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
 
 
 def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
-    """Pairwise IoU: entry (i, j) equals iou(boxes_a[i], boxes_b[j])."""
-    a = boxes_to_array(boxes_a)
-    b = boxes_to_array(boxes_b)
+    """Pairwise IoU: entry (i, j) equals iou(boxes_a[i], boxes_b[j]).
+
+    Either side may also be an (n, 4) array of checked corners.
+    """
+    a = _corners(boxes_a)
+    b = _corners(boxes_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
 
@@ -331,11 +386,13 @@ class _AnchorGrid(Sequence[Anchor]):
                     yield corners, level, row, k // self._per_cell
 
 
-def _anchor_corners(anchors: Sequence[Anchor | Box]) -> np.ndarray:
-    """(n, 4) corners of a :func:`generate_anchors` grid or of any anchors or boxes."""
-    if isinstance(anchors, _AnchorGrid):
-        return anchors.corners
-    return boxes_to_array(a.box if isinstance(a, Anchor) else a for a in anchors)
+def _corners(boxes: Sequence[Anchor | Box] | np.ndarray) -> np.ndarray:
+    """(n, 4) corners of a :func:`generate_anchors` grid, of any anchors or boxes, or an (n, 4) array as it is."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    if isinstance(boxes, _AnchorGrid):
+        return boxes.corners
+    return boxes_to_array(b.box if isinstance(b, Anchor) else b for b in boxes)
 
 
 def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Sequence[Anchor]:
@@ -380,9 +437,7 @@ def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Se
             level[..., 2] = cx + half_w
             level[..., 3] = cy + half_h
 
-        # Box's checks in bulk.  A finite 2 * area also means finite corners: an
-        # infinite or NaN corner makes a side, and so the area, infinite or NaN.
-        ok = np.isfinite(2.0 * ((corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])))
+    ok = _box_ok(corners)
     if not ok.all():
         Box(*corners[np.argmin(ok)].tolist())  # raises Box's error for the first bad anchor
 
