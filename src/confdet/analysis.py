@@ -117,12 +117,7 @@ class ProportionReport:
 
 def max_iou_to_gts(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> np.ndarray:
     """Best IoU of each detection over all ground-truth boxes, class-agnostic."""
-    corners = _Detections.of(dets).corners
-    if not len(corners):
-        return np.zeros(0)
-    if not gts:
-        return np.zeros(len(corners))
-    return iou_matrix(corners, [g.box for g in gts]).max(axis=1)
+    return iou_matrix(_Detections.of(dets).corners, [g.box for g in gts]).max(axis=1, initial=0.0)
 
 
 def _count(values: np.ndarray, threshold: float) -> int:
@@ -322,15 +317,14 @@ def misalignment_summary(dets: Sequence[Detection], gts: Sequence[GroundTruthBox
     all IoU values are zero.
     """
     dets = _Detections.of(dets)
-    return np.column_stack([max_iou_to_gts(dets, gts), dets.cls]) if len(dets) else np.zeros((0, 2))
+    return np.column_stack([max_iou_to_gts(dets, gts), dets.cls])
 
 
 def write_scatter_csv(pairs: Iterable[Sequence[float]], path) -> None:
+    """A (max_iou, cls_score) CSV with one row per pair and CRLF line endings, as ``csv.writer`` writes it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["max_iou", "cls_score"])
-        for iou_value, cls_value in pairs:
-            writer.writerow([repr(float(iou_value)), repr(float(cls_value))])
+        fh.write("max_iou,cls_score\r\n")
+        fh.writelines(f"{float(i)!r},{float(c)!r}\r\n" for i, c in pairs)
 
 
 def round_half_up(value: float, ndigits: int = 2) -> float:

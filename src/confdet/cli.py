@@ -9,6 +9,7 @@ given flags win.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import operator
 import sys
@@ -152,7 +153,7 @@ _TOYTRAIN_DEFAULTS = {
     "seed": toytrain.ToyTrainConfig.seed,
     "n": 200,
     "d": 3,
-    "noise": 0.1,
+    "noise": inspect.signature(toytrain.make_dataset).parameters["noise"].default,
 }
 
 

@@ -292,14 +292,15 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def _iou_row(box: np.ndarray, area: float, boxes: np.ndarray, areas: np.ndarray) -> np.ndarray:
+def _iou_row(box: np.ndarray, area: float | np.ndarray, boxes: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """IoU of one box against each row of ``boxes``, with :func:`iou`'s arithmetic.
 
     ``box`` holds (4,) corners and ``boxes`` (m, 4); ``area`` and ``areas``
-    are their (x2 - x1) * (y2 - y1).  Each element takes the same float
-    operations in the same order as ``iou`` (union = area_a + area_b - inter
-    is symmetric in a and b), so it equals ``iou`` bit for bit and a strict
-    threshold decides the same way.
+    are their (x2 - x1) * (y2 - y1).  A (4, n, 1) ``box`` with (n, 1)
+    ``area`` gives the (n, m) matrix of n boxes against ``boxes``.  Each
+    element takes the same float operations in the same order as ``iou``
+    (union = area_a + area_b - inter is symmetric in a and b), so it equals
+    ``iou`` bit for bit and a strict threshold decides the same way.
     """
     iw = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
     ih = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
@@ -318,36 +319,49 @@ def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
 
 
 def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
-    """Pairwise IoU: entry (i, j) equals iou(boxes_a[i], boxes_b[j]).
+    """Pairwise IoU: entry (i, j) equals iou(boxes_a[i], boxes_b[j]) bit for bit.
 
-    Either side may also be an (n, 4) array of checked corners.
+    Either side may also be an (n, 4) array of checked corners.  The matrix
+    is one :func:`_iou_row` of every box of ``boxes_a`` against ``boxes_b``.
     """
     a = _corners(boxes_a)
     b = _corners(boxes_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
-        wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[:, :, 0] * wh[:, :, 1]
-
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
+        return _iou_row(a.T[:, :, None], area_a[:, None], b, area_b)
 
 
-class _AnchorGrid(Sequence[Anchor]):
+class _Rows(Sequence):
+    """Read-only rows held as arrays, one row per line of the (n, 4) ``corners``.
+
+    A subclass builds row ``i`` in ``_row(i)``; indexing accepts any
+    integer, negative ones from the end, and slicing returns a list, as
+    slicing a list does.
+    """
+
+    corners: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._row(i)
+
+
+class _AnchorGrid(_Rows):
     """Read-only anchors held as one (n, 4) array of corners.
 
     An :class:`Anchor` is built only when a caller indexes or iterates, so
     tiling and array consumers such as ``assign`` never create ~10^5
-    objects.  Slicing returns a list, as slicing a list does.
+    objects.
     """
 
     def __init__(self, corners: np.ndarray, starts: list[int], cols: list[int], per_cell: int):
@@ -357,17 +371,7 @@ class _AnchorGrid(Sequence[Anchor]):
         self._cols = cols
         self._per_cell = per_cell
 
-    def __len__(self) -> int:
-        return len(self.corners)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("anchor index out of range")
+    def _row(self, i: int) -> Anchor:
         level = bisect.bisect_right(self._starts, i) - 1
         row, col = divmod((i - self._starts[level]) // self._per_cell, self._cols[level])
         return Anchor(box=Box(*self.corners[i].tolist()), level=level, cell=(row, col))

@@ -161,36 +161,34 @@ def _prep_masked(logits, targets, positive, n_pos):
     return z, y, pos, n_pos
 
 
+def _focal_prep(logits, positive, n_pos: int, params: FocalParams):
+    """Checked labels, and p, p_t (clamped) and alpha_t of each logit, for the focal loss and its gradient."""
+    z = _as_logits(logits)
+    pos = np.asarray(positive, dtype=bool).reshape(-1)
+    if z.shape != pos.shape:
+        raise ValueError("logits and labels length mismatch")
+    if n_pos < 1:
+        raise ValueError("n_pos must be >= 1")
+    p = sigmoid(z)
+    p_t = _clamped(np.where(pos, p, 1.0 - p))
+    a_t = np.where(pos, params.alpha, 1.0 - params.alpha)
+    return pos, p, p_t, a_t
+
+
 def focal_loss(logits, positive, n_pos: int, params: FocalParams = FocalParams()) -> float:
     """Focal classification loss over positives and negatives, divided by n_pos.
 
     Per sample: alpha_t * (1 - p_t)^gamma * (-ln p_t) with p_t = p for
     positives and 1 - p for negatives, alpha_t likewise alpha / 1 - alpha.
     """
-    z = _as_logits(logits)
-    pos = np.asarray(positive, dtype=bool).reshape(-1)
-    if z.shape != pos.shape:
-        raise ValueError("logits and labels length mismatch")
-    if n_pos < 1:
-        raise ValueError("n_pos must be >= 1")
-    p = sigmoid(z)
-    p_t = _clamped(np.where(pos, p, 1.0 - p))
-    a_t = np.where(pos, params.alpha, 1.0 - params.alpha)
+    _, _, p_t, a_t = _focal_prep(logits, positive, n_pos, params)
     per_sample = a_t * (1.0 - p_t) ** params.gamma * (-np.log(p_t))
     return float(per_sample.sum() / n_pos)
 
 
 def focal_loss_grad(logits, positive, n_pos: int, params: FocalParams = FocalParams()) -> np.ndarray:
     """d(focal_loss)/d(logits), same normalization as the value."""
-    z = _as_logits(logits)
-    pos = np.asarray(positive, dtype=bool).reshape(-1)
-    if z.shape != pos.shape:
-        raise ValueError("logits and labels length mismatch")
-    if n_pos < 1:
-        raise ValueError("n_pos must be >= 1")
-    p = sigmoid(z)
-    p_t = _clamped(np.where(pos, p, 1.0 - p))
-    a_t = np.where(pos, params.alpha, 1.0 - params.alpha)
+    pos, p, p_t, a_t = _focal_prep(logits, positive, n_pos, params)
     g = params.gamma
     if g == 0.0:
         d_pt = -a_t / p_t

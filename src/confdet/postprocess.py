@@ -1,9 +1,14 @@
-"""Detection filtering and greedy per-class NMS driven by a chosen score field.
+"""Detection filtering, score fusion and greedy per-class NMS driven by a chosen score field.
 
 The inference path is: optional object-confidence gate, score fusion,
 score-threshold filter, then NMS ranked by the fused score.  Raw
 classification and object-confidence scores are never overwritten; the
 fused score lives in its own field.
+
+The fused score is the alpha-weighted geometric mean obj^alpha * cls^(1-alpha),
+which stays on the same [0, 1] scale as its factors (a plain product does
+not: it is dragged down whenever either factor is small).
+:mod:`confdet.fusion` re-exports the fusion rule and the gate.
 
 Detections travel as columns: a loaded dump is one read-only set of
 arrays, each stage selects rows of it with an index mask, and a
@@ -15,14 +20,14 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fusion import CLS_ONLY, FusionParams, _fuse_lists, gate
-from .geometry import Box, _batches, _corners_from_json, _iou_row, boxes_to_array, class_id_from_json, read_jsonl
+from .geometry import (
+    Box, _batches, _corners_from_json, _iou_row, _Rows, boxes_to_array, class_id_from_json, read_jsonl,
+)
 
 __all__ = [
     "Detection",
@@ -40,6 +45,70 @@ __all__ = [
 ]
 
 SCORE_FIELDS = ("cls", "fused")
+
+PRODUCT = "product"
+MULTIPLY = "multiply"
+CLS_ONLY = "cls"
+MODES = (PRODUCT, MULTIPLY, CLS_ONLY)
+
+
+@dataclass(frozen=True)
+class FusionParams:
+    """How to combine the two scores; ``obj_gate`` optionally drops boxes first.
+
+    ``alpha`` weights object confidence in the geometric mean (product mode
+    only): 0 keeps the classification score, 1 keeps object confidence.
+    """
+
+    alpha: float = 0.4
+    mode: str = PRODUCT
+    obj_gate: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.obj_gate is not None and not 0.0 <= self.obj_gate <= 1.0:
+            raise ValueError(f"obj_gate must be in [0, 1], got {self.obj_gate}")
+
+
+def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> float:
+    """Fused score of one detection, in [0, 1].
+
+    product mode: obj^alpha * cls^(1-alpha); multiply: obj * cls; cls: the
+    classification score unchanged, and ``obj_score`` is not looked at
+    (it may be None).  The boundary cases alpha in {0, 1} and obj == cls
+    return their operand exactly (this also realizes the 0^0 == 1
+    convention at score 0).
+    """
+    if not 0.0 <= cls_score <= 1.0:
+        raise ValueError(f"cls_score must be in [0, 1], got {cls_score}")
+    if params.mode != CLS_ONLY:
+        if obj_score is None:
+            raise ValueError(f"fusion mode {params.mode!r} needs obj_score, got None")
+        if not 0.0 <= obj_score <= 1.0:
+            raise ValueError(f"obj_score must be in [0, 1], got {obj_score}")
+    return _fuse_lists([cls_score], [obj_score], params)[0]
+
+
+def _fuse_lists(cls: list[float], obj: list, params: FusionParams) -> list[float]:
+    """:func:`fuse` of each (cls, obj) pair of already checked scores.
+
+    Python floats and ``**`` throughout: numpy's power differs from it in
+    the last bit on about one fused score in ten, which would change
+    output bytes and can reorder near-ties.
+    """
+    if params.mode == CLS_ONLY:
+        return list(cls)
+    if params.mode == MULTIPLY:
+        return [o * c for c, o in zip(cls, obj)]
+    a, b = params.alpha, 1.0 - params.alpha
+    if a == 0.0:
+        return list(cls)
+    if a == 1.0:
+        return [c if o == c else o for c, o in zip(cls, obj)]
+    return [c if o == c else o**a * c**b for c, o in zip(cls, obj)]
 
 
 @dataclass(frozen=True)
@@ -124,7 +193,7 @@ def _record_fields(record: dict) -> tuple:
     )
 
 
-class _Detections(Sequence[Detection]):
+class _Detections(_Rows):
     """Read-only detections held as columns.
 
     ``corners`` is (n, 4); ``cls``, ``obj`` and ``fused`` are float columns
@@ -133,9 +202,8 @@ class _Detections(Sequence[Detection]):
     ``image_ids`` lists, so ids stay Python ints and strings of any size;
     ``origin`` is each row's position in the set the rows were first taken
     from.  Stages select rows with :meth:`take`, which shares the id lists.
-    A :class:`Detection` is built only when a caller indexes or iterates;
-    slicing returns a list, as slicing a list does.  The set compares equal
-    to any sequence of the same detections.
+    A :class:`Detection` is built only when a caller indexes or iterates.
+    The set compares equal to any sequence of the same detections.
     """
 
     def __init__(self, corners, cls, obj, fused, class_code, class_ids, image_code, image_ids, origin):
@@ -188,17 +256,7 @@ class _Detections(Sequence[Detection]):
         corners, cls_, obj, fused = (np.concatenate(column) for column in zip(*parts, empty))
         return cls(corners, cls_, obj, fused, class_code, class_ids, image_code, image_ids, np.arange(len(cls_)))
 
-    def __len__(self) -> int:
-        return len(self.cls)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("detection index out of range")
+    def _row(self, i: int) -> Detection:
         return next(iter(self.take([i])))
 
     def __iter__(self):
@@ -271,8 +329,13 @@ def _columnar(keeps_objects: bool):
 
 
 @_columnar(keeps_objects=True)
-def _gate(dets: _Detections, threshold: float) -> _Detections:
-    """:func:`confdet.fusion.gate` on columns."""
+def gate(dets: Iterable[Detection], threshold: float) -> list[Detection]:
+    """Keep detections whose object confidence is strictly above ``threshold``.
+
+    Input order is preserved; a detection without an object confidence is
+    rejected.  Columnar input, such as a :func:`group_by_image` view, gives
+    a view; a plain iterable gives a list of its own objects.
+    """
     det = dets.first_missing(dets.obj)
     if det is not None:
         raise ValueError(f"detection has no obj_score to gate on: {det}")

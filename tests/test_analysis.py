@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,12 @@ from confdet.analysis import (
     compute_image_stats,
     emit_count_table,
     ingest_count_table,
+    max_iou_to_gts,
     misalignment_summary,
     proportions_from_counts,
     report_to_dict,
     round_half_up,
+    write_scatter_csv,
 )
 from confdet.assignment import GroundTruthBox
 from confdet.geometry import Box
@@ -240,6 +245,35 @@ class TestMisalignmentSummary:
             best = max(iou(d.box, g.box) for g in gts)
             assert row[0] == pytest.approx(best, abs=1e-12)
             assert row[1] == d.cls_score
+
+
+class TestEmptySides:
+    def test_no_detections_or_no_ground_truth(self):
+        assert max_iou_to_gts([], [gt(0, 0, 1, 1)]).shape == (0,)
+        assert max_iou_to_gts([det(0, 0, 1, 1, 0.5)], []).tolist() == [0.0]
+        assert misalignment_summary([], []).shape == (0, 2)
+        assert misalignment_summary([], [gt(0, 0, 1, 1)]).shape == (0, 2)
+
+
+class TestScatterCsv:
+    PAIRS = np.array([[0.0, 1.0], [0.5, 0.25], [1 / 3, 1e-300], [0.1 + 0.2, 0.7]])
+
+    def test_bytes_equal_the_csv_writer_with_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "scatter.csv"
+        write_scatter_csv(self.PAIRS, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["max_iou", "cls_score"])
+        writer.writerows([repr(float(i)), repr(float(c))] for i, c in self.PAIRS)
+        data = path.read_bytes()
+        assert data == expected.getvalue().encode("utf-8")
+        assert data.startswith(b"max_iou,cls_score\r\n0.0,1.0\r\n0.5,0.25\r\n0.3333333333333333,1e-300\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n") == 5
+
+    def test_no_pairs_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "scatter.csv"
+        write_scatter_csv(np.zeros((0, 2)), path)
+        assert path.read_bytes() == b"max_iou,cls_score\r\n"
 
 
 class TestRounding:

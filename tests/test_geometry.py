@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confdet.geometry import (
@@ -343,3 +343,40 @@ class TestIouRow:
         for k, box in enumerate(boxes):
             row = _iou_row(corners[k], areas[k], corners, areas)
             assert row.tolist() == [iou(b, box) for b in boxes]
+
+
+_ROW_BOX = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]) | st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]) | st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 40.0),
+    st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 40.0),
+).map(lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+_FAR = sys.float_info.max
+_EDGE_BOXES = [
+    Box(-1e308, 0.0, -1e308, 0.0),
+    Box(1e308, 0.0, 1e308, 0.0),
+    Box(-_FAR, -_FAR, -_FAR, -_FAR),
+    Box(_FAR, _FAR, _FAR, _FAR),
+    Box(0.0, 0.0, _largest_square_side(), _largest_square_side()),
+    Box(0.0, 0.0, 0.0, 0.0),
+]
+
+
+class TestIouMatrixBitForBit:
+    """Every entry of ``iou_matrix`` is the scalar ``iou``, compared by ``float.hex`` so signed zeros count."""
+
+    @given(
+        boxes_a=st.lists(_ROW_BOX | st.sampled_from(_EDGE_BOXES), max_size=10),
+        boxes_b=st.lists(_ROW_BOX | st.sampled_from(_EDGE_BOXES), max_size=10),
+    )
+    @example(boxes_a=[], boxes_b=[])
+    @example(boxes_a=[], boxes_b=_EDGE_BOXES)
+    @example(boxes_a=_EDGE_BOXES, boxes_b=[])
+    @example(boxes_a=_EDGE_BOXES, boxes_b=_EDGE_BOXES)
+    @settings(max_examples=300)
+    def test_equals_scalar_iou(self, boxes_a, boxes_b):
+        m = iou_matrix(boxes_a, boxes_b)
+        assert m.shape == (len(boxes_a), len(boxes_b))
+        assert [[v.hex() for v in row] for row in m.tolist()] == [[iou(a, b).hex() for b in boxes_b] for a in boxes_a]
+        corners = iou_matrix(boxes_to_array(boxes_a), boxes_to_array(boxes_b))
+        assert corners.tobytes() == m.tobytes()
