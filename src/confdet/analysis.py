@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruthBox, _best_matches
-from .geometry import Anchor, Box, _corners, iou_matrix
+from .geometry import Anchor, Box, _check_unit, _corners, iou_matrix
 from .postprocess import Detection, _Detections
 
 __all__ = [
@@ -57,8 +57,7 @@ class Condition:
     def __post_init__(self):
         if self.kind not in (CLS, IOU):
             raise ValueError(f"condition kind must be {CLS!r} or {IOU!r}, got {self.kind!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"condition threshold must be in [0, 1], got {self.threshold}")
+        _check_unit("condition threshold", self.threshold)
 
     def __str__(self) -> str:
         return f"{self.kind}>{self.threshold:g}"

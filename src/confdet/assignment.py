@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Anchor, Box, BoxDelta, _corners, _iou_row, boxes_to_array, class_id_from_json, encode, read_jsonl,
+    Anchor, Box, BoxDelta, _areas, _check_class_id, _corners, _iou_row, boxes_to_array, class_id_from_json, encode,
+    read_jsonl,
 )
 
 __all__ = [
@@ -43,8 +44,7 @@ class GroundTruthBox:
     def __post_init__(self):
         if self.box.area <= 0:
             raise ValueError(f"ground-truth box must have positive area, got {self.box}")
-        if isinstance(self.class_id, bool) or not isinstance(self.class_id, int) or self.class_id < 0:
-            raise ValueError(f"class_id must be a non-negative integer, got {self.class_id!r}")
+        _check_class_id(self.class_id)
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def _best_matches(
     truth's best anchor (lowest index on ties) and IoU.
     """
     gt = boxes_to_array(g.box for g in gts)
-    gt_areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
+    gt_areas = _areas(gt)
     boxes = np.asfortranarray(corners)  # _iou_row reads one coordinate column at a time
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = _areas(boxes)
     best_iou = np.zeros(len(boxes))
     best_gt = np.zeros(len(boxes), dtype=np.int64)
     gt_best_anchor = np.zeros(len(gt), dtype=np.int64)

@@ -68,10 +68,11 @@ def cmd_nms(args: argparse.Namespace) -> int:
 
     dets = postprocess.load_detections_jsonl(args.input)
     survivors = [
-        postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk)
+        det
         for image_dets in postprocess.group_by_image(dets).values()
+        for det in postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk)
     ]
-    postprocess.dump_detections_jsonl(dets.concat(survivors), args.output)
+    postprocess.dump_detections_jsonl(survivors, args.output)
     return 0
 
 

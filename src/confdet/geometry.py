@@ -48,7 +48,7 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        # Plain checks, no generator: anchor tiling builds ~10^5 boxes per image.
+        # Plain checks, no generator: a dump's survivors and the per-record loaders build one Box each.
         x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
         for c in coords:
             if c.__class__ is not float and (c is True or c is False or not isinstance(c, (int, float))):
@@ -99,13 +99,25 @@ def class_id_from_json(value) -> int:
     """A class id read from JSON: an int, or a float with an integral value.
 
     Booleans, fractional and non-numeric values raise ``ValueError``; the
-    sign is left to the record's own check.
+    sign is left to :func:`_check_class_id`, which the record runs.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"class_id must be an integer, got {value!r}")
     return value
+
+
+def _check_class_id(value) -> None:
+    """The rule for a record's class id: a non-negative int, not bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"class_id must be a non-negative integer, got {value!r}")
+
+
+def _check_unit(name: str, value: float) -> None:
+    """The rule for a score, weight or threshold: in [0, 1], NaN rejected."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -149,7 +161,7 @@ def _box_ok(corners: np.ndarray) -> np.ndarray:
     """
     x1, y1, x2, y2 = corners.T
     with np.errstate(over="ignore", invalid="ignore"):
-        return (x2 >= x1) & (y2 >= y1) & np.isfinite(2.0 * ((x2 - x1) * (y2 - y1)))
+        return (x2 >= x1) & (y2 >= y1) & np.isfinite(2.0 * _areas(corners))
 
 
 def _batches(items: Iterable, size: int = 4096) -> Iterator[list]:
@@ -296,7 +308,7 @@ def _iou_row(box: np.ndarray, area: float | np.ndarray, boxes: np.ndarray, areas
     """IoU of one box against each row of ``boxes``, with :func:`iou`'s arithmetic.
 
     ``box`` holds (4,) corners and ``boxes`` (m, 4); ``area`` and ``areas``
-    are their (x2 - x1) * (y2 - y1).  A (4, n, 1) ``box`` with (n, 1)
+    are their :func:`_areas`.  A (4, n, 1) ``box`` with (n, 1)
     ``area`` gives the (n, m) matrix of n boxes against ``boxes``.  Each
     element takes the same float operations in the same order as ``iou``
     (union = area_a + area_b - inter is symmetric in a and b), so it equals
@@ -310,6 +322,11 @@ def _iou_row(box: np.ndarray, area: float | np.ndarray, boxes: np.ndarray, areas
     out = np.zeros(union.shape)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
+
+
+def _areas(corners: np.ndarray) -> np.ndarray:
+    """Each row's (x2 - x1) * (y2 - y1), as :attr:`Box.area` computes it, for :func:`_iou_row`."""
+    return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
 
 
 def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
@@ -326,8 +343,7 @@ def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
     """
     a = _corners(boxes_a)
     b = _corners(boxes_b)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_a, area_b = _areas(a), _areas(b)
     with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
         return _iou_row(a.T[:, :, None], area_a[:, None], b, area_b)
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BoxDelta
+from .geometry import BoxDelta, _check_unit
 
 __all__ = [
     "P_CLAMP",
@@ -68,8 +68,7 @@ class FocalParams:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_unit("alpha", self.alpha)
         if not self.gamma >= 0.0:  # NaN fails too
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
@@ -423,7 +422,6 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
     if y_arr.ndim == 1 and x_arr.ndim == 2 and x_arr.shape[0] == y_arr.shape[0]:
         return factor[:, None] * x_arr
     raise ValueError(f"incompatible shapes: y {y_arr.shape}, x {x_arr.shape}")
-
 
 
 def total_loss(cls: float, loc: float, conf: float) -> LossBreakdown:

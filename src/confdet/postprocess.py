@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
-    Box, _batches, _corners_from_json, _iou_row, _Rows, boxes_to_array, class_id_from_json, read_jsonl,
+    Box, _areas, _batches, _check_class_id, _check_unit, _corners_from_json, _iou_row, _Rows, boxes_to_array,
+    class_id_from_json, read_jsonl,
 )
 
 __all__ = [
@@ -65,12 +66,11 @@ class FusionParams:
     obj_gate: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_unit("alpha", self.alpha)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.obj_gate is not None and not 0.0 <= self.obj_gate <= 1.0:
-            raise ValueError(f"obj_gate must be in [0, 1], got {self.obj_gate}")
+        if self.obj_gate is not None:
+            _check_unit("obj_gate", self.obj_gate)
 
 
 def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> float:
@@ -82,13 +82,11 @@ def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> flo
     return their operand exactly (this also realizes the 0^0 == 1
     convention at score 0).
     """
-    if not 0.0 <= cls_score <= 1.0:
-        raise ValueError(f"cls_score must be in [0, 1], got {cls_score}")
+    _check_unit("cls_score", cls_score)
     if params.mode != CLS_ONLY:
         if obj_score is None:
             raise ValueError(f"fusion mode {params.mode!r} needs obj_score, got None")
-        if not 0.0 <= obj_score <= 1.0:
-            raise ValueError(f"obj_score must be in [0, 1], got {obj_score}")
+        _check_unit("obj_score", obj_score)
     return _fuse_lists([cls_score], [obj_score], params)[0]
 
 
@@ -128,12 +126,11 @@ class Detection:
     image_id: str = ""
 
     def __post_init__(self):
-        if isinstance(self.class_id, bool) or not isinstance(self.class_id, int) or self.class_id < 0:
-            raise ValueError(f"class_id must be a non-negative integer, got {self.class_id!r}")
+        _check_class_id(self.class_id)
         for name in ("cls_score", "obj_score", "fused_score"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            if value is not None:
+                _check_unit(name, value)
 
 
 @dataclass(frozen=True)
@@ -150,10 +147,8 @@ class NmsParams:
     score_field: str = "fused"
 
     def __post_init__(self):
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must be in [0, 1], got {self.iou_threshold}")
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
+        _check_unit("iou_threshold", self.iou_threshold)
+        _check_unit("score_threshold", self.score_threshold)
         if self.score_field not in SCORE_FIELDS:
             raise ValueError(f"score_field must be one of {SCORE_FIELDS}, got {self.score_field!r}")
 
@@ -288,16 +283,6 @@ class _Detections(_Rows):
             self.class_code, self.class_ids, self.image_code, self.image_ids, self.origin,
         )
 
-    def concat(self, parts: Sequence["_Detections"]) -> "_Detections":
-        """One set of the rows of ``parts``, views of this set, in order."""
-        if not parts:
-            return self.take(np.zeros(0, dtype=np.intp))
-        columns = ("corners", "cls", "obj", "fused", "class_code", "image_code", "origin")
-        corners, cls, obj, fused, class_code, image_code, origin = (
-            np.concatenate([getattr(p, c) for p in parts]) for c in columns
-        )
-        return _Detections(corners, cls, obj, fused, class_code, self.class_ids, image_code, self.image_ids, origin)
-
     def image_id_set(self) -> set[str]:
         return {self.image_ids[m] for m in np.unique(self.image_code).tolist()}
 
@@ -384,7 +369,7 @@ def nms(dets: Sequence[Detection], params: NmsParams = NmsParams()) -> list[Dete
     bounds = [0, *(np.flatnonzero(np.diff(classes[by_class])) + 1).tolist(), len(order)]
 
     boxes = dets.corners[order[by_class]]
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = _areas(boxes)
     alive = np.ones(len(order), dtype=bool)
     # Far-apart boxes can overflow a gap to -inf: no overlap, as in iou.
     with np.errstate(over="ignore"):
@@ -418,10 +403,12 @@ def inference_pipeline(
     """Run one image's detections through gate, fusion, filter and NMS.
 
     ``top_k`` optionally caps the number of boxes entering NMS (by driving
-    score); it is off by default.  Columnar input, such as a
-    :func:`group_by_image` view, gives a read-only sequence; a plain
-    iterable gives a list.
+    score); it is off by default, 0 keeps no box, and a negative value
+    raises ``ValueError``.  Columnar input, such as a :func:`group_by_image`
+    view, gives a read-only sequence; a plain iterable gives a list.
     """
+    if top_k is not None and top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     out = dets
     if fusion_params.obj_gate is not None:
         out = gate(out, fusion_params.obj_gate)

@@ -59,8 +59,7 @@ class ToyDataset:
             raise ValueError(f"features must be (n, d), got shape {self.features.shape}")
         if self.targets.shape != (self.features.shape[0],):
             raise ValueError("targets must be one value per feature row")
-        if self.targets.size and (self.targets.min() < 0.0 or self.targets.max() > 1.0):
-            raise ValueError("targets must lie in [0, 1]")
+        losses._check_targets(self.targets)
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.loss_kind not in REGRESSION_LOSSES:
             raise ValueError(f"loss_kind must be one of {REGRESSION_LOSSES}, got {self.loss_kind!r}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -137,26 +136,25 @@ def initial_theta(init: str, d: int) -> np.ndarray:
 def train(data: ToyDataset, cfg: ToyTrainConfig) -> TrainTrace:
     """Full-batch gradient descent; deterministic given the dataset and config.
 
-    The update direction is the mean of the per-sample gradients from
-    :func:`confdet.losses.sigmoid_regression_grad`.
+    The update direction is the mean of the per-sample gradients that
+    :func:`confdet.losses.sigmoid_regression_grad` gives, from the value's loss row.
     """
     x = data.features
     y = data.targets
     theta = initial_theta(cfg.init, x.shape[1])
-    per_sample, abs_err = losses._LOSSES[cfg.loss_kind].value, losses._LOSSES["l1"].value
+    row, abs_err = losses._LOSSES[cfg.loss_kind], losses._LOSSES["l1"].value
 
     loss_rows, mae_rows, norm_rows = [], [], []
     diverged = False
     # divergence is detected from inf/nan propagation, so let overflow happen silently
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_iters):
-            z = x @ theta
-            h = sigmoid(z)
-            loss = float(np.mean(per_sample(h, y)))
+            h = sigmoid(x @ theta)
+            loss = float(np.mean(row.value(h, y)))
             if not np.isfinite(loss):
                 diverged = True
                 break
-            grad = sigmoid_regression_grad(cfg.loss_kind, y, z, x).mean(axis=0)
+            grad = (row.grad(h, y)[:, None] * x).mean(axis=0)
             loss_rows.append(loss)
             mae_rows.append(float(np.mean(abs_err(h, y))))
             norm_rows.append(float(np.linalg.norm(grad)))
