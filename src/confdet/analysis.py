@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruthBox, _best_matches
-from .geometry import Anchor, Box, _check_unit, _corners, iou_matrix
+from .geometry import Anchor, Box, _check_unit, iou_matrix
 from .postprocess import Detection, _Detections
 
 __all__ = [
@@ -178,9 +178,8 @@ def _image_stats(
 
     positive_num = None
     if anchors is not None:
-        corners = _corners(anchors)
-        if gts and len(corners):
-            best = _best_matches(corners, gts)[0]
+        if gts and len(anchors):
+            best = _best_matches(anchors, gts)[0]
             positive_num = _count(best, positive_iou)
         else:
             positive_num = 0

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Anchor, Box, BoxDelta, _areas, _check_class_id, _corners, _iou_row, boxes_to_array, class_id_from_json, encode,
-    read_jsonl,
+    Anchor, Box, BoxDelta, _areas, _check_class_id, _corners, _iou_row, _windows, boxes_to_array, class_id_from_json,
+    encode, read_jsonl,
 )
 
 __all__ = [
@@ -105,31 +105,46 @@ class AssignmentResult:
 
 
 def _best_matches(
-    corners: np.ndarray, gts: Sequence[GroundTruthBox]
+    anchors: Sequence[Anchor | Box] | np.ndarray, gts: Sequence[GroundTruthBox]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Max-IoU matches between anchor corners and ground truths, without an n x m matrix.
+    """Max-IoU matches between anchors and ground truths, without an n x m matrix.
 
     Walks the ground truths in index order, one IoU column each (``iou``'s
-    arithmetic, via ``_iou_row``).  Returns each anchor's best IoU and its
-    ground truth, ties resolving to the lowest index, and each ground
-    truth's best anchor (lowest index on ties) and IoU.
+    arithmetic, via ``_iou_row``) over only the anchors it can overlap, as
+    ``_windows`` bounds them; every other anchor's IoU is exactly 0.
+    Returns each anchor's best IoU and its ground truth, ties resolving to
+    the lowest index, and each ground truth's best anchor (lowest index on
+    ties, 0 when it overlaps nothing) and IoU.
     """
     gt = boxes_to_array(g.box for g in gts)
     gt_areas = _areas(gt)
-    boxes = np.asfortranarray(corners)  # _iou_row reads one coordinate column at a time
+    boxes = np.asfortranarray(_corners(anchors))  # _iou_row reads one coordinate column at a time
     areas = _areas(boxes)
     best_iou = np.zeros(len(boxes))
     best_gt = np.zeros(len(boxes), dtype=np.int64)
     gt_best_anchor = np.zeros(len(gt), dtype=np.int64)
     gt_best_iou = np.zeros(len(gt))
+    blocks = []
+    for start, shape, windows in _windows(anchors, gt):
+        end = start + shape[0] * shape[1]
+        views = [a[start:end].reshape(shape + a.shape[1:]) for a in (boxes, areas, best_iou, best_gt)]
+        blocks.append((start, shape[1], views, windows))
     with np.errstate(over="ignore"):  # far-apart boxes overflow a gap to -inf: no overlap
         for j in range(len(gt)):
-            col = _iou_row(gt[j], gt_areas[j], boxes, areas)
-            better = col > best_iou  # strict: an equal later column keeps the lower index
-            np.copyto(best_iou, col, where=better)
-            best_gt[better] = j
-            gt_best_anchor[j] = col.argmax()
-            gt_best_iou[j] = col[gt_best_anchor[j]]
+            for start, width, (block, block_areas, block_iou, block_gt), windows in blocks:
+                r0, r1, c0, c1 = windows[j]
+                if r0 >= r1 or c0 >= c1:
+                    continue
+                col = _iou_row(gt[j], gt_areas[j], block[r0:r1, c0:c1], block_areas[r0:r1, c0:c1])
+                window_iou = block_iou[r0:r1, c0:c1]
+                better = col > window_iou  # strict: an equal later column keeps the lower index
+                np.copyto(window_iou, col, where=better)
+                np.copyto(block_gt[r0:r1, c0:c1], j, where=better)
+                k = col.argmax()  # blocks and windows run in anchor order: the first maximum is the lowest index
+                if col.flat[k] > gt_best_iou[j]:
+                    r, c = divmod(int(k), c1 - c0)
+                    gt_best_anchor[j] = start + (r0 + r) * width + c0 + c
+                    gt_best_iou[j] = col.flat[k]
     return best_iou, best_gt, gt_best_anchor, gt_best_iou
 
 
@@ -157,7 +172,7 @@ def assign(
             matched_iou=np.zeros(n),
         )
 
-    best_iou, best_gt, gt_best_anchor, gt_best_iou = _best_matches(_corners(anchors), gts)
+    best_iou, best_gt, gt_best_anchor, gt_best_iou = _best_matches(anchors, gts)
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     labels[(best_iou >= cfg.neg_iou) & (best_iou < cfg.pos_iou)] = IGNORE

@@ -241,20 +241,14 @@ def cmd_assign(args: argparse.Namespace) -> int:
     )
     result = assignment.assign(anchors, per_image[image_id], cfg)
     columns = zip(result.labels.tolist(), result.matched_iou.tolist(), result.forced.tolist())
+    # json.dumps's bytes for each line's dict, without a dict: float.__repr__, null and true/false literals.
+    line = '{"index": %d, "label": "%s", "gt_index": %s, "matched_iou": %r, "forced": %s}\n'
     with open(args.output, "w", encoding="utf-8") as fh:
-        for i, (label, matched_iou, forced) in enumerate(columns):
-            fh.write(
-                json.dumps(
-                    {
-                        "index": i,
-                        "label": _LABEL_NAMES.get(label, "positive"),
-                        "gt_index": label if label >= 0 else None,
-                        "matched_iou": matched_iou,
-                        "forced": forced,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(
+            line % (i, _LABEL_NAMES.get(label, "positive"), label if label >= 0 else "null", matched_iou,
+                    "true" if forced else "false")
+            for i, (label, matched_iou, forced) in enumerate(columns)
+        )
     print(f"{result.n_pos} positive of {result.n_total} anchors")
     return 0
 

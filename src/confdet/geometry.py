@@ -307,15 +307,15 @@ def iou(a: Box, b: Box) -> float:
 def _iou_row(box: np.ndarray, area: float | np.ndarray, boxes: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """IoU of one box against each row of ``boxes``, with :func:`iou`'s arithmetic.
 
-    ``box`` holds (4,) corners and ``boxes`` (m, 4); ``area`` and ``areas``
-    are their :func:`_areas`.  A (4, n, 1) ``box`` with (n, 1)
+    ``box`` holds (4,) corners and ``boxes`` (..., 4), such as (m, 4);
+    ``area`` and ``areas`` are their :func:`_areas`.  A (4, n, 1) ``box`` with (n, 1)
     ``area`` gives the (n, m) matrix of n boxes against ``boxes``.  Each
     element takes the same float operations in the same order as ``iou``
     (union = area_a + area_b - inter is symmetric in a and b), so it equals
     ``iou`` bit for bit and a strict threshold decides the same way.
     """
-    iw = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
-    ih = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    iw = np.minimum(box[2], boxes[..., 2]) - np.maximum(box[0], boxes[..., 0])
+    ih = np.minimum(box[3], boxes[..., 3]) - np.maximum(box[1], boxes[..., 1])
     inter = np.zeros(iw.shape)
     np.multiply(iw, ih, out=inter, where=(iw > 0.0) & (ih > 0.0))
     union = area + areas - inter
@@ -380,12 +380,15 @@ class _AnchorGrid(_Rows):
     objects.
     """
 
-    def __init__(self, corners: np.ndarray, starts: list[int], cols: list[int], per_cell: int):
+    def __init__(self, corners: np.ndarray, starts: list[int], cols: list[int], per_cell: int, extents: list[tuple]):
         corners.flags.writeable = False
         self.corners = corners
         self._starts = starts  # first anchor index of each level
         self._cols = cols
         self._per_cell = per_cell
+        # Per level, min x1 and max x2 of each column of cells and min y1 and max y2 of each row,
+        # all non-decreasing: where a box can overlap the level is one searchsorted away.
+        self._extents = extents
 
     def _row(self, i: int) -> Anchor:
         level = bisect.bisect_right(self._starts, i) - 1
@@ -404,6 +407,32 @@ class _AnchorGrid(_Rows):
             for row, row_start in enumerate(range(start, end, per_row)):
                 for k, corners in enumerate(self.corners[row_start : row_start + per_row].tolist()):
                     yield corners, level, row, k // self._per_cell
+
+
+def _windows(anchors: Sequence[Anchor | Box] | np.ndarray, boxes: np.ndarray) -> list[tuple]:
+    """Where each of the (m, 4) ``boxes`` can overlap ``anchors``, block by block.
+
+    Returns one ``(start, (rows, width), windows)`` per block: anchors
+    ``start`` to ``start + rows * width`` read row-major as a (rows, width)
+    block, and ``windows[j] = (r0, r1, c0, c1)`` bounds the part of it that
+    box ``j`` can overlap.  A :func:`generate_anchors` grid has one block
+    per level, a cell's anchors side by side in a row; any other sequence
+    is one row whose window is every anchor.  An anchor outside a window
+    has its x1 at or right of the box's x2, or its x2 at or left of the
+    box's x1, or the same in y, so its IoU with that box is exactly 0.
+    """
+    if not isinstance(anchors, _AnchorGrid):
+        n = len(anchors)
+        return [(0, (1, n), [(0, 1, 0, n)] * len(boxes))]
+    x1, y1, x2, y2 = boxes.T
+    blocks = []
+    per_cell = anchors._per_cell
+    for start, (min_x1, max_x2, min_y1, max_y2) in zip(anchors._starts, anchors._extents):
+        r0, r1 = np.searchsorted(max_y2, y1, "right"), np.searchsorted(min_y1, y2, "left")
+        c0, c1 = np.searchsorted(max_x2, x1, "right") * per_cell, np.searchsorted(min_x1, x2, "left") * per_cell
+        windows = list(zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()))
+        blocks.append((start, (len(min_y1), len(min_x1) * per_cell), windows))
+    return blocks
 
 
 def _corners(boxes: Sequence[Anchor | Box] | np.ndarray) -> np.ndarray:
@@ -441,6 +470,7 @@ def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Se
     sizes = [rows * cols * len(shapes) for rows, cols in grids]
     starts = [0, *itertools.accumulate(sizes[:-1])]
     corners = np.empty((sum(sizes), 4))
+    extents = []
     # Overflow gives an infinite corner or area, which Box's check below reports.
     with np.errstate(over="ignore", invalid="ignore"):
         for (rows, cols), start, size, stride, base in zip(grids, starts, sizes, config.strides, config.base_sizes):
@@ -451,17 +481,17 @@ def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Se
             cy = ((np.arange(rows) + 0.5) * stride)[:, None, None]
             half_w = 0.5 * base * wf
             half_h = 0.5 * base * hf
+            x1, y1, x2, y2 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
             level = corners[start : start + size].reshape(rows, cols, len(shapes), 4)
-            level[..., 0] = cx - half_w
-            level[..., 1] = cy - half_h
-            level[..., 2] = cx + half_w
-            level[..., 3] = cy + half_h
+            level[..., 0], level[..., 1], level[..., 2], level[..., 3] = x1, y1, x2, y2
+            # Every corner is a copy of one of these, so their extents are the corners' own.
+            extents.append((x1.min(axis=(0, 2)), x2.max(axis=(0, 2)), y1.min(axis=(1, 2)), y2.max(axis=(1, 2))))
 
     ok = _box_ok(corners)
     if not ok.all():
         Box(*corners[np.argmin(ok)].tolist())  # raises Box's error for the first bad anchor
 
-    return _AnchorGrid(corners, starts, [cols for _, cols in grids], len(shapes))
+    return _AnchorGrid(corners, starts, [cols for _, cols in grids], len(shapes), extents)
 
 
 def encode(anchor: Box, target: Box) -> BoxDelta:

@@ -358,6 +358,26 @@ class TestAnchorsAndAssignCommands:
         assert main(["assign", str(out), "--anchors", str(anchors_path), "--gts", str(gts_path)]) == 2
         assert "--image-id required" in capsys.readouterr().err
 
+    def test_assign_lines_are_json_dumps_bytes(self, tmp_path, monkeypatch):
+        labels = [assignment.NEGATIVE, assignment.IGNORE, 0, 1, 12, assignment.NEGATIVE]
+        matched_iou = [0.0, 1.0 / 3.0, 1.0, 5e-324, 0.5, 1e-7]
+        forced = [False, False, False, True, False, False]
+        result = assignment.AssignmentResult(labels=labels, matched_iou=matched_iou, forced=forced)
+        monkeypatch.setattr(assignment, "assign", lambda anchors, gts, cfg: result)
+        anchors_path = tmp_path / "anchors.jsonl"
+        anchors_path.write_text(json.dumps({"box": [0, 0, 1, 1]}) + "\n")
+        gts_path = tmp_path / "gt.jsonl"
+        gts_path.write_text(json.dumps({"image_id": "i", "box": [0, 0, 1, 1], "class_id": 0}) + "\n")
+        out = tmp_path / "labels.jsonl"
+        assert main(["assign", str(out), "--anchors", str(anchors_path), "--gts", str(gts_path)]) == 0
+        names = {assignment.NEGATIVE: "negative", assignment.IGNORE: "ignore"}
+        expected = "".join(
+            json.dumps({"index": i, "label": names.get(label, "positive"), "gt_index": label if label >= 0 else None,
+                        "matched_iou": value, "forced": f}) + "\n"
+            for i, (label, value, f) in enumerate(zip(labels, matched_iou, forced))
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
+
 
     @pytest.mark.parametrize("line", ['{"box": 5}', "[0, 0, 16, 16]", '{"box": [0, 0, 1' + "0" * 400 + ', 1]}'])
     def test_bad_anchor_line_exit_code_and_line(self, tmp_path, capsys, line):
