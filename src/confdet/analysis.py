@@ -11,6 +11,7 @@ than high-score boxes do.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -242,7 +243,14 @@ def ingest_count_table(path) -> list[ImageStats]:
     must be present for every image.  Image order follows first appearance.
     """
     per_image: dict[str, ImageStats] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -19,50 +19,56 @@ from .fusion import MODES, FusionParams
 from .postprocess import NmsParams
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The flag defaults that a ``--config`` file gives ``command``.
+
+    Its keys are the ``dest`` names of the command's optional flags that take
+    a value and are not required.  A value is a JSON string or a number other
+    than a bool; the string itself, or the number's ``repr``, goes through
+    the flag's own ``type`` and ``choices``, as it would on the command line.
+    """
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, or nested past the parser's depth
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill argparse's None sentinels from --config, then built-in defaults."""
-    cfg = _load_config(getattr(args, "config", None))
-    unknown = set(cfg) - set(defaults)
+    flags = {
+        action.dest: action
+        for action in command._actions
+        if action.option_strings and action.nargs != 0 and not action.required and action.dest != "config"
+    }
+    unknown = set(cfg) - set(flags)
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-    for key, default in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, default))
-    return args
+    defaults = {}
+    for key, value in cfg.items():
+        flag = flags[key]
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"expected a string or a number, got {type(value).__name__}")
+            text = value if isinstance(value, str) else repr(value)
+            converted = text if flag.type is None else flag.type(text)
+            if flag.choices is not None and converted not in flag.choices:
+                raise ValueError(f"{converted!r} is not one of {list(flag.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
+        defaults[key] = converted
+    return defaults
 
 
 def _csv_floats(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part.strip()]
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part.strip()]
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 # ---------------------------------------------------------------- nms
 
-_NMS_DEFAULTS = {
-    "alpha": FusionParams.alpha,
-    "mode": FusionParams.mode,
-    "iou_thresh": NmsParams.iou_threshold,
-    "score_thresh": NmsParams.score_threshold,
-    "obj_gate": FusionParams.obj_gate,
-    "topk": None,
-}
-
-
 def cmd_nms(args: argparse.Namespace) -> int:
-    args = _resolve(args, _NMS_DEFAULTS)
     fusion_params = FusionParams(alpha=args.alpha, mode=args.mode, obj_gate=args.obj_gate)
     nms_params = NmsParams(iou_threshold=args.iou_thresh, score_threshold=args.score_thresh)
 
@@ -78,11 +84,7 @@ def cmd_nms(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-_ANALYZE_DEFAULTS = {"conditions": "iou>0.5,cls>0.5"}
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    args = _resolve(args, _ANALYZE_DEFAULTS)
     if (args.counts is None) == (args.before is None):
         raise ValueError("provide either --counts or --before/--after dumps")
     if args.before is not None and args.after is None:
@@ -133,11 +135,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- gradcheck
 
-_GRADCHECK_DEFAULTS = {"trials": 100, "tol": 1e-6, "seed": 0}
-
-
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    args = _resolve(args, _GRADCHECK_DEFAULTS)
     err = toytrain.finite_diff_check(args.loss, tol=args.tol, trials=args.trials, seed=args.seed)
     ok = err < args.tol
     print(f"{args.loss}: max relative error {err:.3e} ({'<' if ok else '>='} tol {args.tol:g})")
@@ -146,20 +144,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- toytrain
 
-_TOYTRAIN_DEFAULTS = {
-    "loss": toytrain.ToyTrainConfig.loss_kind,
-    "init": toytrain.ToyTrainConfig.init,
-    "lr": toytrain.ToyTrainConfig.learning_rate,
-    "iters": toytrain.ToyTrainConfig.max_iters,
-    "seed": toytrain.ToyTrainConfig.seed,
-    "n": 200,
-    "d": 3,
-    "noise": inspect.signature(toytrain.make_dataset).parameters["noise"].default,
-}
-
-
 def cmd_toytrain(args: argparse.Namespace) -> int:
-    args = _resolve(args, _TOYTRAIN_DEFAULTS)
     data = toytrain.make_dataset(args.n, args.d, args.seed, noise=args.noise)
     cfg = toytrain.ToyTrainConfig(
         loss_kind=args.loss,
@@ -177,14 +162,7 @@ def cmd_toytrain(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- anchors
 
-_ANCHORS_DEFAULTS = {
-    key: ",".join(repr(v) for v in values)
-    for key, values in geometry.AnchorGridConfig.retinanet_defaults().to_dict().items()
-}
-
-
 def cmd_anchors(args: argparse.Namespace) -> int:
-    args = _resolve(args, _ANCHORS_DEFAULTS)
     config = geometry.AnchorGridConfig(
         strides=tuple(_csv_ints(args.strides)),
         base_sizes=tuple(_csv_floats(args.base_sizes)),
@@ -200,12 +178,6 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- assign
-
-_ASSIGN_DEFAULTS = {
-    "pos_iou": assignment.AssignerConfig.pos_iou,
-    "neg_iou": assignment.AssignerConfig.neg_iou,
-    "image_id": None,
-}
 
 _LABEL_NAMES = {assignment.NEGATIVE: "negative", assignment.IGNORE: "ignore"}
 
@@ -223,7 +195,6 @@ def _load_anchor_corners(path):
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    args = _resolve(args, _ASSIGN_DEFAULTS)
     anchors = _load_anchor_corners(args.anchors)
     per_image = assignment.load_ground_truth_jsonl(args.gts)
     image_id = args.image_id
@@ -256,76 +227,80 @@ def cmd_assign(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each flag's default is read from the library where it has one."""
     parser = argparse.ArgumentParser(prog="confdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nms", help="gate, fuse, filter and suppress a detection dump")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON object of flag defaults")
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p = command("nms", cmd_nms, "gate, fuse, filter and suppress a detection dump")
     p.add_argument("input", help="detection dump (JSON lines)")
     p.add_argument("output", help="surviving detections (JSON lines)")
-    p.add_argument("--alpha", type=float, help="object-confidence weight in the fused score")
-    p.add_argument("--mode", choices=MODES, help="fusion mode (default product)")
-    p.add_argument("--iou-thresh", dest="iou_thresh", type=float, help="NMS overlap threshold")
-    p.add_argument("--score-thresh", dest="score_thresh", type=float, help="pre-NMS score floor")
-    p.add_argument("--obj-gate", dest="obj_gate", type=float, help="drop boxes with obj <= this first")
+    p.add_argument("--alpha", type=float, default=FusionParams.alpha,
+                   help="object-confidence weight in the fused score (default %(default)s)")
+    p.add_argument("--mode", choices=MODES, default=FusionParams.mode, help="fusion mode (default %(default)s)")
+    p.add_argument("--iou-thresh", type=float, default=NmsParams.iou_threshold,
+                   help="NMS overlap threshold (default %(default)s)")
+    p.add_argument("--score-thresh", type=float, default=NmsParams.score_threshold,
+                   help="pre-NMS score floor (default %(default)s)")
+    p.add_argument("--obj-gate", type=float, default=FusionParams.obj_gate, help="drop boxes with obj <= this first")
     p.add_argument("--topk", type=int, help="cap boxes entering NMS per image")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_nms)
 
-    p = sub.add_parser("analyze", help="count-table stats and proportion reports")
+    p = command("analyze", cmd_analyze, "count-table stats and proportion reports")
     p.add_argument("--before", help="detections before NMS (JSON lines)")
     p.add_argument("--after", help="detections after NMS (JSON lines)")
     p.add_argument("--gts", help="ground truth (JSON lines)")
     p.add_argument("--counts", help="count-table CSV instead of raw dumps")
-    p.add_argument("--conditions", help="comma list, e.g. 'iou>0.5,cls>0.5'")
-    p.add_argument("--out-stats", dest="out_stats", help="write count-table CSV here")
-    p.add_argument("--out-report", dest="out_report", help="write proportion-report JSON here")
-    p.add_argument("--out-scatter", dest="out_scatter", help="write (max_iou, cls_score) CSV here")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--conditions", default="iou>0.5,cls>0.5", help="comma list (default %(default)s)")
+    p.add_argument("--out-stats", help="write count-table CSV here")
+    p.add_argument("--out-report", help="write proportion-report JSON here")
+    p.add_argument("--out-scatter", help="write (max_iou, cls_score) CSV here")
 
-    p = sub.add_parser("gradcheck", help="compare an analytic gradient to central differences")
+    check = inspect.signature(toytrain.finite_diff_check).parameters
+    p = command("gradcheck", cmd_gradcheck, "compare an analytic gradient to central differences")
     p.add_argument("--loss", required=True, choices=toytrain.GRADCHECK_LOSSES)
-    p.add_argument("--trials", type=int, help="random points to test (default 100)")
-    p.add_argument("--tol", type=float, help="pass threshold on max relative error")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_gradcheck)
+    p.add_argument("--trials", type=int, default=check["trials"].default,
+                   help="random points to test (default %(default)s)")
+    p.add_argument("--tol", type=float, default=check["tol"].default,
+                   help="pass threshold on max relative error (default %(default)s)")
+    p.add_argument("--seed", type=int, default=check["seed"].default, help="RNG seed (default %(default)s)")
 
-    p = sub.add_parser("toytrain", help="run the sigmoid-regression training experiment")
+    toy = toytrain.ToyTrainConfig
+    p = command("toytrain", cmd_toytrain, "run the sigmoid-regression training experiment")
     p.add_argument("output", help="trace CSV (iter,loss,mae,grad_norm)")
-    p.add_argument("--loss", choices=toytrain.REGRESSION_LOSSES, help="training loss (default ce)")
-    p.add_argument("--init", choices=toytrain.INITS, help="initial weights (default zeros)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.5)")
-    p.add_argument("--iters", type=int, help="max iterations (default 2000)")
-    p.add_argument("--seed", type=int, help="dataset seed (default 0)")
-    p.add_argument("--n", type=int, help="dataset rows (default 200)")
-    p.add_argument("--d", type=int, help="feature count incl. bias column (default 3)")
-    p.add_argument("--noise", type=float, help="target noise scale (default 0.1)")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_toytrain)
+    p.add_argument("--loss", choices=toytrain.REGRESSION_LOSSES, default=toy.loss_kind,
+                   help="training loss (default %(default)s)")
+    p.add_argument("--init", choices=toytrain.INITS, default=toy.init, help="initial weights (default %(default)s)")
+    p.add_argument("--lr", type=float, default=toy.learning_rate, help="learning rate (default %(default)s)")
+    p.add_argument("--iters", type=int, default=toy.max_iters, help="max iterations (default %(default)s)")
+    p.add_argument("--seed", type=int, default=toy.seed, help="dataset seed (default %(default)s)")
+    p.add_argument("--n", type=int, default=200, help="dataset rows (default %(default)s)")
+    p.add_argument("--d", type=int, default=3, help="feature count incl. bias column (default %(default)s)")
+    p.add_argument("--noise", type=float, default=inspect.signature(toytrain.make_dataset).parameters["noise"].default,
+                   help="target noise scale (default %(default)s)")
 
-    p = sub.add_parser("anchors", help="tile an anchor grid over an image")
+    p = command("anchors", cmd_anchors, "tile an anchor grid over an image")
     p.add_argument("output", help="anchor JSON lines")
-    p.add_argument("--image-w", dest="image_w", type=int, required=True)
-    p.add_argument("--image-h", dest="image_h", type=int, required=True)
-    p.add_argument("--strides", help="comma list (default 8,16,32,64,128)")
-    p.add_argument("--base-sizes", dest="base_sizes", help="comma list (default 32..512)")
-    p.add_argument("--scales", help="comma list (default 2^0,2^(1/3),2^(2/3))")
-    p.add_argument("--ratios", help="comma list (default 0.5,1,2)")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_anchors)
+    p.add_argument("--image-w", type=int, required=True)
+    p.add_argument("--image-h", type=int, required=True)
+    for key, values in geometry.AnchorGridConfig.retinanet_defaults().to_dict().items():
+        p.add_argument("--" + key.replace("_", "-"), default=",".join(repr(v) for v in values),
+                       help="comma list (default %(default)s)")
 
-    p = sub.add_parser("assign", help="label anchors against ground truth by IoU")
+    p = command("assign", cmd_assign, "label anchors against ground truth by IoU")
     p.add_argument("output", help="per-anchor labels (JSON lines)")
     p.add_argument("--anchors", required=True, help="anchor JSON lines (from 'anchors')")
     p.add_argument("--gts", required=True, help="ground truth JSON lines")
-    p.add_argument("--image-id", dest="image_id", help="which image to assign (default: the only one)")
-    p.add_argument("--pos-iou", dest="pos_iou", type=float, help="positive threshold (default 0.5)")
-    p.add_argument("--neg-iou", dest="neg_iou", type=float, help="negative threshold (default 0.4)")
-    p.add_argument("--no-force-match", dest="no_force_match", action="store_true",
-                   help="do not promote each ground truth's best anchor")
-    p.add_argument("--config", help="JSON object of flag defaults")
-    p.set_defaults(func=cmd_assign)
+    p.add_argument("--image-id", help="which image to assign (default: the only one)")
+    p.add_argument("--pos-iou", type=float, default=assignment.AssignerConfig.pos_iou,
+                   help="positive threshold (default %(default)s)")
+    p.add_argument("--neg-iou", type=float, default=assignment.AssignerConfig.neg_iou,
+                   help="negative threshold (default %(default)s)")
+    p.add_argument("--no-force-match", action="store_true", help="do not promote each ground truth's best anchor")
 
     return parser
 
@@ -334,6 +309,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # explicit flags win: the config's values become the command's defaults, and argv is parsed again
+            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

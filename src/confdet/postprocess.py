@@ -403,10 +403,13 @@ def inference_pipeline(
     """Run one image's detections through gate, fusion, filter and NMS.
 
     ``top_k`` optionally caps the number of boxes entering NMS (by driving
-    score); it is off by default, 0 keeps no box, and a negative value
-    raises ``ValueError``.  Columnar input, such as a :func:`group_by_image`
-    view, gives a read-only sequence; a plain iterable gives a list.
+    score); it is off by default, 0 keeps no box, and a negative value, a
+    bool or a non-integer raises ``ValueError``.  Columnar input, such as a
+    :func:`group_by_image` view, gives a read-only sequence; a plain
+    iterable gives a list.
     """
+    if top_k is not None and (isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer))):
+        raise ValueError(f"top_k must be an int, got {top_k!r}")
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     out = dets

@@ -278,7 +278,7 @@ def finite_diff_check(loss_kind: str, tol: float = 1e-6, trials: int = 100, seed
         loss_kind = "wce"
     if loss_kind not in GRADCHECK_LOSSES:
         raise ValueError(f"loss_kind must be one of {GRADCHECK_LOSSES}, got {loss_kind!r}")
-    if tol < 0.0:
+    if not tol >= 0.0:  # NaN too
         raise ValueError(f"tol must be >= 0, got {tol}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,12 @@ class TestCountTableIo:
         path = tmp_path / "bad.csv"
         path.write_text("id,stage,cond,count\n")
         with pytest.raises(ValueError, match="header"):
+            ingest_count_table(path)
+
+    def test_non_utf8_byte_reports_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"image_id,stage,condition,count\nimgA,before,cls>0.05,3\nimg\xff,after,cls>0.05,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: 'utf-8' codec can't decode byte 0xff"):
             ingest_count_table(path)
 
 

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from confdet import assignment, postprocess
 from confdet.analysis import bundled_count_table
 from confdet.assignment import AssignerConfig
-from confdet.cli import main
-from confdet.fusion import FusionParams
+from confdet.cli import build_parser, main
+from confdet.fusion import MODES, FusionParams
 from confdet.geometry import AnchorGridConfig, Box
 from confdet.postprocess import (
     Detection,
@@ -419,27 +421,130 @@ class TestConfigFile:
         assert main(["nms", str(src), str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    # (argv before --config, that subcommand's config keys)
+    _KEYS = {
+        "nms": (["nms", "in.jsonl", "out.jsonl"], ["alpha", "mode", "iou_thresh", "score_thresh", "obj_gate", "topk"]),
+        "analyze": (["analyze"], ["before", "after", "gts", "counts", "conditions", "out_stats", "out_report",
+                                  "out_scatter"]),
+        "gradcheck": (["gradcheck", "--loss", "ce"], ["trials", "tol", "seed"]),
+        "toytrain": (["toytrain", "t.csv"], ["loss", "init", "lr", "iters", "seed", "n", "d", "noise"]),
+        "anchors": (["anchors", "a.jsonl", "--image-w", "8", "--image-h", "8"],
+                    ["strides", "base_sizes", "scales", "ratios"]),
+        "assign": (["assign", "l.jsonl", "--anchors", "a.jsonl", "--gts", "g.jsonl"], ["pos_iou", "neg_iou", "image_id"]),
+    }
+
+    @pytest.mark.parametrize(("command", "key"), [(c, k) for c, (_, keys) in _KEYS.items() for k in keys])
+    def test_non_scalar_value_names_path_and_key(self, tmp_path, capsys, command, key):
+        argv, _ = self._KEYS[command]
+        config = tmp_path / "config.json"
+        for value in (None, True, [8, 16], {"a": 1}):
+            config.write_text(json.dumps({key: value}))
+            assert main([*argv, "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert f"{config}: key {key!r}: expected a string or a number" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(("command", "key"), [
+        ("gradcheck", "loss"), ("anchors", "image_w"), ("assign", "anchors"), ("assign", "no_force_match"),
+        ("nms", "config"), ("nms", "input"), ("nms", "func"),
+    ])
+    def test_required_positional_and_switch_flags_are_not_keys(self, tmp_path, capsys, command, key):
+        argv, _ = self._KEYS[command]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "x"}))
+        assert main([*argv, "--config", str(config)]) == 2
+        assert f"config has unknown keys: [{key!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("cfg", "message"), [
+        ({"alpha": "abc"}, "could not convert string to float"),
+        ({"topk": 2.5}, "invalid literal for int()"),
+        ({"mode": "sum"}, "'sum' is not one of"),
+    ])
+    def test_value_fails_its_flags_type_or_choices(self, tmp_path, capsys, cfg, message):
+        src, config = tmp_path / "in.jsonl", tmp_path / "config.json"
+        src.write_text("")
+        config.write_text(json.dumps(cfg))
+        assert main(["nms", str(src), str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: key {next(iter(cfg))!r}: " in err and message in err
+
+    @pytest.mark.parametrize("content", [
+        b"{", b'{"alpha": 0.5,}', b'{"alpha": "\xff"}', b"[1, 2]", b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["truncated", "trailing-comma", "non-utf8", "not-object", "deep"])
+    def test_bad_config_file_names_path(self, tmp_path, capsys, content):
+        src, config = tmp_path / "in.jsonl", tmp_path / "config.json"
+        src.write_text("")
+        config.write_bytes(content)
+        assert main(["nms", str(src), str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
+
+    def test_config_matches_the_same_flags_byte_for_byte(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        random_dump(src, seed=5, n=80, image_ids=("a", "b"))
+        cfg = {"alpha": "0.3", "mode": "product", "iou_thresh": 0.45, "score_thresh": 0.1, "obj_gate": 0.2,
+               "topk": 12}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        flags = [f for key, value in cfg.items() for f in ("--" + key.replace("_", "-"), str(value))]
+        by_config, by_flags = tmp_path / "c.jsonl", tmp_path / "f.jsonl"
+        assert main(["nms", str(src), str(by_config), "--config", str(config)]) == 0
+        assert main(["nms", str(src), str(by_flags), *flags]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        assert main(["nms", str(src), str(by_flags)]) == 0
+        assert by_config.read_bytes() != by_flags.read_bytes()
+
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+        | st.floats(0, 1).map(repr) | st.integers(-3, 50).map(str) | st.sampled_from(MODES),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=st.dictionaries(st.sampled_from(_KEYS["nms"][1]), _JSON, max_size=4))
+    def test_any_json_value_exits_0_or_2(self, tmp_path, capsys, cfg):
+        src, config = tmp_path / "in.jsonl", tmp_path / "config.json"
+        if not src.exists():
+            random_dump(src, seed=6, n=20)
+        config.write_text(json.dumps(cfg))
+        assert main(["nms", str(src), str(tmp_path / "out.jsonl"), "--config", str(config)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["nms", "analyze", "gradcheck", "toytrain", "anchors", "assign"])
+def test_help_renders_for_every_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: confdet {command}") and "%(" not in out
+
 
 def test_retinanet_defaults_are_cli_defaults():
     config = AnchorGridConfig.retinanet_defaults()
-    from confdet.cli import _ANCHORS_DEFAULTS, _csv_floats, _csv_ints
+    from confdet.cli import _csv_floats, _csv_ints
 
-    assert tuple(_csv_ints(_ANCHORS_DEFAULTS["strides"])) == config.strides
-    assert tuple(_csv_floats(_ANCHORS_DEFAULTS["base_sizes"])) == config.base_sizes
-    assert tuple(_csv_floats(_ANCHORS_DEFAULTS["scales"])) == pytest.approx(config.scales)
-    assert tuple(_csv_floats(_ANCHORS_DEFAULTS["ratios"])) == config.ratios
+    args = build_parser().parse_args(["anchors", "a.jsonl", "--image-w", "8", "--image-h", "8"])
+    assert tuple(_csv_ints(args.strides)) == config.strides
+    assert tuple(_csv_floats(args.base_sizes)) == config.base_sizes
+    assert tuple(_csv_floats(args.scales)) == pytest.approx(config.scales)
+    assert tuple(_csv_floats(args.ratios)) == config.ratios
 
 
 def test_cli_defaults_are_library_defaults():
-    from confdet.cli import _ASSIGN_DEFAULTS, _NMS_DEFAULTS, _TOYTRAIN_DEFAULTS
+    nms_args = build_parser().parse_args(["nms", "a", "b"])
+    assign_args = build_parser().parse_args(["assign", "o", "--anchors", "a", "--gts", "g"])
+    toy_args = build_parser().parse_args(["toytrain", "o"])
 
     fusion, nms_params = FusionParams(), NmsParams()
-    assert (_NMS_DEFAULTS["alpha"], _NMS_DEFAULTS["mode"], _NMS_DEFAULTS["obj_gate"]) == (
+    assert (nms_args.alpha, nms_args.mode, nms_args.obj_gate) == (
         fusion.alpha, fusion.mode, fusion.obj_gate)
-    assert (_NMS_DEFAULTS["iou_thresh"], _NMS_DEFAULTS["score_thresh"]) == (
+    assert (nms_args.iou_thresh, nms_args.score_thresh) == (
         nms_params.iou_threshold, nms_params.score_threshold)
     cfg = AssignerConfig()
-    assert (_ASSIGN_DEFAULTS["pos_iou"], _ASSIGN_DEFAULTS["neg_iou"]) == (cfg.pos_iou, cfg.neg_iou)
+    assert (assign_args.pos_iou, assign_args.neg_iou) == (cfg.pos_iou, cfg.neg_iou)
     toy = ToyTrainConfig()
-    assert [_TOYTRAIN_DEFAULTS[k] for k in ("loss", "init", "lr", "iters", "seed")] == [
+    assert [getattr(toy_args, k) for k in ("loss", "init", "lr", "iters", "seed")] == [
         toy.loss_kind, toy.init, toy.learning_rate, toy.max_iters, toy.seed]

@@ -8,6 +8,7 @@ holds it bit for bit.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from confdet.fusion import FusionParams, fuse
 from confdet.geometry import Box, _areas, boxes_to_array
 from confdet.losses import FocalParams, sigmoid, sigmoid_regression_grad
 from confdet.postprocess import Detection, NmsParams, dump_detections_jsonl, inference_pipeline, load_detections_jsonl
-from confdet.toytrain import INITS, REGRESSION_LOSSES, ToyDataset, ToyTrainConfig, initial_theta, make_dataset, train
+from confdet.toytrain import (
+    INITS, REGRESSION_LOSSES, ToyDataset, ToyTrainConfig, finite_diff_check, initial_theta, make_dataset, train,
+)
 
 _BOX = Box(0.0, 0.0, 1.0, 1.0)
 
@@ -87,6 +90,14 @@ class TestTopK:
         with pytest.raises(ValueError, match=f"top_k must be >= 0, got {top_k}"):
             inference_pipeline(self._dets(), top_k=top_k)
 
+    @pytest.mark.parametrize("top_k", [True, False, 2.5, 2.0, "2"])
+    def test_non_int_top_k_raises(self, top_k):
+        with pytest.raises(ValueError, match=re.escape(f"top_k must be an int, got {top_k!r}")):
+            inference_pipeline(self._dets(), top_k=top_k)
+
+    def test_numpy_int_top_k_accepted(self):
+        assert inference_pipeline(self._dets(), top_k=np.int64(2)) == inference_pipeline(self._dets(), top_k=2)
+
     def test_zero_top_k_keeps_no_box(self):
         assert inference_pipeline(self._dets(), top_k=0) == []
 
@@ -127,6 +138,18 @@ class TestTrainingInputs:
         assert main(["toytrain", str(out), flag, "nan", "--iters", "5"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestGradcheckTolerance:
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
+            finite_diff_check("ce", tol=math.nan)
+
+    def test_cli_nan_tol_exits_2(self, capsys):
+        assert main(["gradcheck", "--loss", "ce", "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be >= 0, got nan" in captured.err
+        assert captured.out == ""
 
 
 def _reference_train(data, cfg):
