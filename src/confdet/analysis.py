@@ -61,7 +61,8 @@ class Condition:
         _check_unit("condition threshold", self.threshold)
 
     def __str__(self) -> str:
-        return f"{self.kind}>{self.threshold:g}"
+        short = f"{self.threshold:g}"  # repr where the short form would parse to another threshold
+        return f"{self.kind}>{short if float(short) == self.threshold else repr(self.threshold)}"
 
     @classmethod
     def parse(cls, text: str) -> "Condition":
@@ -258,7 +259,9 @@ def ingest_count_table(path) -> list[ImageStats]:
             raise ValueError(f"{path}: empty count table") from None
         if [h.strip() for h in header] != _COUNT_TABLE_HEADER:
             raise ValueError(f"{path}: expected header {','.join(_COUNT_TABLE_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, 2):
+        seen = set()
+        for row in reader:
+            lineno = reader.line_num  # the file line a record ends on; a quoted field can span lines
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 4:
@@ -273,6 +276,9 @@ def ingest_count_table(path) -> list[ImageStats]:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if count < 0:
                 raise ValueError(f"{path}: line {lineno}: negative count {count}")
+            if (image_id, stage, cond) in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate row {image_id!r}, {stage}, {cond}")
+            seen.add((image_id, stage, cond))
             stats = per_image.setdefault(
                 image_id, ImageStats(image_id=image_id, positive_num=None)
             )

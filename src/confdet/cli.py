@@ -14,6 +14,8 @@ import json
 import operator
 import sys
 
+import numpy as np
+
 from . import analysis, assignment, geometry, postprocess, toytrain
 from .fusion import MODES, FusionParams
 from .postprocess import NmsParams
@@ -73,11 +75,10 @@ def cmd_nms(args: argparse.Namespace) -> int:
     nms_params = NmsParams(iou_threshold=args.iou_thresh, score_threshold=args.score_thresh)
 
     dets = postprocess.load_detections_jsonl(args.input)
-    survivors = [
-        det
-        for image_dets in postprocess.group_by_image(dets).values()
-        for det in postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk)
-    ]
+    kept = [dets.take(dets.origin[:0])]  # so that a dump with no detections concatenates to none
+    for image_dets in postprocess.group_by_image(dets).values():
+        kept.append(postprocess.inference_pipeline(image_dets, fusion_params, nms_params, top_k=args.topk))
+    survivors = dets.take(np.concatenate([k.origin for k in kept])).with_fused(np.concatenate([k.fused for k in kept]))
     postprocess.dump_detections_jsonl(survivors, args.output)
     return 0
 
@@ -170,9 +171,8 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         ratios=tuple(_csv_floats(args.ratios)),
     )
     anchors = geometry.generate_anchors(config, args.image_w, args.image_h)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for box, level, row, col in anchors._rows():
-            fh.write(json.dumps({"box": box, "level": level, "cell": [row, col]}) + "\n")
+    level, cell = (column.tolist() for column in anchors._cells())
+    geometry.write_jsonl(args.output, ("box", "level", "cell"), (anchors.corners.tolist(), level, cell))
     print(f"wrote {len(anchors)} anchors")
     return 0
 
@@ -211,15 +211,11 @@ def cmd_assign(args: argparse.Namespace) -> int:
         pos_iou=args.pos_iou, neg_iou=args.neg_iou, force_match=not args.no_force_match
     )
     result = assignment.assign(anchors, per_image[image_id], cfg)
-    columns = zip(result.labels.tolist(), result.matched_iou.tolist(), result.forced.tolist())
-    # json.dumps's bytes for each line's dict, without a dict: float.__repr__, null and true/false literals.
-    line = '{"index": %d, "label": "%s", "gt_index": %s, "matched_iou": %r, "forced": %s}\n'
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            line % (i, _LABEL_NAMES.get(label, "positive"), label if label >= 0 else "null", matched_iou,
-                    "true" if forced else "false")
-            for i, (label, matched_iou, forced) in enumerate(columns)
-        )
+    labels = result.labels.tolist()
+    geometry.write_jsonl(args.output, ("index", "label", "gt_index", "matched_iou", "forced"), (
+        range(len(labels)), [_LABEL_NAMES.get(label, "positive") for label in labels],
+        [label if label >= 0 else None for label in labels], result.matched_iou.tolist(), result.forced.tolist(),
+    ))
     print(f"{result.n_pos} positive of {result.n_total} anchors")
     return 0
 

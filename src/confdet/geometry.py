@@ -121,6 +121,7 @@ def _check_unit(name: str, value: float) -> None:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
@@ -151,6 +152,33 @@ def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             yield value
+
+
+def _json_texts(values: Sequence) -> list[str]:
+    """``json.dumps`` of each value: a fast rule for a column of one plain kind, else ``json.dumps`` per value."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    flat = kinds <= {int, float, bool, type(None)}
+    if flat or kinds == {list} and {int, float} >= set(map(type, itertools.chain.from_iterable(values))):
+        texts = list(map(repr, values))  # JSON's text for numbers, save nan and inf: the only reprs with an n
+        if kinds <= {int} or kinds <= {int, float, list} and "n" not in "".join(texts):
+            return texts
+        if flat:
+            return [_JSON_WORDS.get(text, text) for text in texts]
+    return [json.dumps(None if value != value else value) for value in values]
+
+
+def write_jsonl(path, keys: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """Write one line of ``json.dumps(dict(zip(keys, row)))`` per row of ``columns``, NaN as ``null``."""
+    texts = [_json_texts(column) for column in columns]
+    n = len(texts[0]) if texts else 0
+    heads = [itertools.repeat(("{" if i == 0 else ", ") + json.dumps(key) + ": ", n) for i, key in enumerate(keys)]
+    # each line is its keys' and values' texts interleaved; strict zips reject a missing or short column
+    lines = zip(*itertools.chain(*zip(heads, texts, strict=True)), itertools.repeat("}\n", n), strict=True)
+    text = "".join(itertools.chain.from_iterable(lines))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _box_ok(corners: np.ndarray) -> np.ndarray:
@@ -396,17 +424,15 @@ class _AnchorGrid(_Rows):
         return Anchor(box=Box(*self.corners[i].tolist()), level=level, cell=(row, col))
 
     def __iter__(self):
-        for corners, level, row, col in self._rows():
+        level, cell = self._cells()
+        for corners, level, (row, col) in zip(self.corners.tolist(), level.tolist(), cell.tolist()):
             yield Anchor(box=Box(*corners), level=level, cell=(row, col))
 
-    def _rows(self):
-        """Yield ([x1, y1, x2, y2], level, row, col) for every anchor in order, as Python numbers."""
-        ends = self._starts[1:] + [len(self)]
-        for level, (start, end, cols) in enumerate(zip(self._starts, ends, self._cols)):
-            per_row = cols * self._per_cell
-            for row, row_start in enumerate(range(start, end, per_row)):
-                for k, corners in enumerate(self.corners[row_start : row_start + per_row].tolist()):
-                    yield corners, level, row, k // self._per_cell
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n,) level and (n, 2) (row, col) cell of every anchor, in order."""
+        sizes = np.diff([*self._starts, len(self)])
+        cell = (np.arange(len(self)) - np.repeat(self._starts, sizes)) // self._per_cell
+        return np.repeat(np.arange(len(sizes)), sizes), np.column_stack(np.divmod(cell, np.repeat(self._cols, sizes)))
 
 
 def _windows(anchors: Sequence[Anchor | Box] | np.ndarray, boxes: np.ndarray) -> list[tuple]:

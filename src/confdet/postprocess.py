@@ -19,7 +19,6 @@ iterates.  Plain lists of detections are converted at each stage's edge.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .geometry import (
     Box, _areas, _batches, _check_class_id, _check_unit, _corners_from_json, _iou_row, _Rows, boxes_to_array,
-    class_id_from_json, read_jsonl,
+    class_id_from_json, read_jsonl, write_jsonl,
 )
 
 __all__ = [
@@ -469,9 +468,17 @@ def load_detections_jsonl(path) -> Sequence[Detection]:
 
 
 def dump_detections_jsonl(dets: Iterable[Detection], path, include_fused: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in dets:
-            fh.write(json.dumps(detection_to_dict(det, include_fused)) + "\n")
+    """One :func:`detection_to_dict` line per detection, written from columns when ``dets`` holds them."""
+    keys = ("image_id", "box", "class_id", "cls_score", "obj_score", "fused_score")[: 6 if include_fused else 5]
+    if isinstance(dets, _Detections):
+        columns = [
+            [dets.image_ids[m] for m in dets.image_code.tolist()], dets.corners.tolist(),
+            [dets.class_ids[k] for k in dets.class_code.tolist()], dets.cls.tolist(), dets.obj.tolist(),
+            dets.fused.tolist(),
+        ][: len(keys)]
+    else:
+        columns = list(zip(*(detection_to_dict(det, include_fused).values() for det in dets))) or [()] * len(keys)
+    write_jsonl(path, keys, columns)
 
 
 def group_by_image(dets: Iterable[Detection]) -> dict[str, Sequence[Detection]]:

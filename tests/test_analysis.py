@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confdet.analysis import (
     CLS,
@@ -301,3 +303,61 @@ class TestRounding:
         deltas = {row["image_id"]: row["delta_pp"] for row in payload["per_image"]}
         assert deltas["Image2"] == -31.50
         assert deltas["Image6"] == -39.84
+
+
+class TestConditionText:
+    @given(kind=st.sampled_from([CLS, IOU]), threshold=st.floats(min_value=0.0, max_value=1.0))
+    def test_text_parses_back_to_the_condition(self, kind, threshold):
+        cond = Condition(kind, threshold)
+        assert Condition.parse(str(cond)) == cond
+
+    @pytest.mark.parametrize(
+        "threshold, text",
+        [(0.5, "iou>0.5"), (0.05, "iou>0.05"), (0.0, "iou>0"), (1.0, "iou>1"), (1e-7, "iou>1e-07"),
+         (0.5000001, "iou>0.5000001"), (0.1234567, "iou>0.1234567"), (0.1 + 0.2, "iou>0.30000000000000004")],
+    )
+    def test_short_form_only_where_it_is_exact(self, threshold, text):
+        assert str(Condition(IOU, threshold)) == text
+
+    def test_close_thresholds_keep_their_own_rows(self, tmp_path):
+        stats = compute_image_stats(
+            [det(0, 0, 10, 10, 0.9)], [det(0, 0, 10, 10, 0.9)], [gt(0, 0, 10, 10.000001)],
+            conditions=[TOTAL_CONDITION, Condition(IOU, 0.5), Condition(IOU, 0.5000001), Condition(IOU, 0.1234567)],
+        )
+        path = tmp_path / "counts.csv"
+        emit_count_table([stats], path)
+        rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
+        assert len({tuple(row[:3]) for row in rows}) == len(rows)
+        assert ingest_count_table(path) == [stats]
+
+
+class TestCountTableRows:
+    _TOTALS = "imgA,before,cls>0.05,10\nimgA,after,cls>0.05,4\n"
+
+    @pytest.mark.parametrize("second", ["imgA,before,iou>0.5,9", "imgA,before,iou>0.50,3", " imgA ,before,iou>0.5,3"])
+    def test_duplicate_row_rejected_with_its_line(self, tmp_path, second):
+        path = tmp_path / "dup.csv"
+        path.write_text("image_id,stage,condition,count\n" + self._TOTALS + "imgA,before,iou>0.5,3\n" + second + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 5: duplicate row 'imgA', before, iou>0.5$"):
+            ingest_count_table(path)
+
+    def test_duplicate_positive_and_total_rows_rejected(self, tmp_path):
+        for extra in ("imgA,positive,iou>0.5,2\nimgA,positive,iou>0.5,2\n", "imgA,after,cls>0.05,5\n"):
+            path = tmp_path / "dup.csv"
+            path.write_text("image_id,stage,condition,count\n" + self._TOTALS + extra)
+            with pytest.raises(ValueError, match="duplicate row"):
+                ingest_count_table(path)
+
+    def test_same_condition_at_other_stage_or_image_is_no_duplicate(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(
+            "image_id,stage,condition,count\n" + self._TOTALS + "imgB,before,cls>0.05,1\nimgB,after,cls>0.05,1\n"
+            "imgA,before,iou>0.5,3\nimgA,after,iou>0.5,1\nimgB,before,iou>0.5,1\n"
+        )
+        assert [s.before[Condition(IOU, 0.5)] for s in ingest_count_table(path)] == [3, 1]
+
+    def test_error_line_is_the_file_line_after_a_multiline_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('image_id,stage,condition,count\n"img\nA",before,cls>0.05,3\nimgB,before,iou>abc,3\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: bad condition threshold 'abc'"):
+            ingest_count_table(path)

@@ -548,3 +548,28 @@ def test_cli_defaults_are_library_defaults():
     toy = ToyTrainConfig()
     assert [getattr(toy_args, k) for k in ("loss", "init", "lr", "iters", "seed")] == [
         toy.loss_kind, toy.init, toy.learning_rate, toy.max_iters, toy.seed]
+
+
+def test_analyze_count_table_keeps_close_thresholds_apart(tmp_path):
+    gts_path = tmp_path / "gt.jsonl"
+    gts_path.write_text(json.dumps({"image_id": "img", "box": [10.0, 10.0, 40.0, 40.0], "class_id": 0}) + "\n")
+    before_path, after_path = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+    dets = random_dump(before_path, seed=7, n=60)
+    dump_detections_jsonl(dets[::3], after_path, include_fused=False)
+    conditions = "iou>0.5,iou>0.5000001,iou>0.1234567"
+    stats_csv, report_a, report_b = tmp_path / "stats.csv", tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["analyze", "--before", str(before_path), "--after", str(after_path), "--gts", str(gts_path),
+                 "--conditions", conditions, "--out-stats", str(stats_csv), "--out-report", str(report_a)]) == 0
+    rows = [line.split(",")[:3] for line in stats_csv.read_text().splitlines()[1:]]
+    assert {row[2] for row in rows} == {"cls>0.05", "iou>0.5", "iou>0.5000001", "iou>0.1234567"}
+    assert len({tuple(row) for row in rows}) == len(rows)
+    assert main(["analyze", "--counts", str(stats_csv), "--conditions", conditions, "--out-report", str(report_b)]) == 0
+    assert json.loads(report_a.read_text()) == json.loads(report_b.read_text())
+
+
+def test_duplicate_count_table_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("image_id,stage,condition,count\na,before,cls>0.05,10\na,after,cls>0.05,4\n"
+                    "a,before,iou>0.5,3\na,before,iou>0.5,9\n")
+    assert main(["analyze", "--counts", str(path), "--conditions", "iou>0.5"]) == 2
+    assert f"{path}: line 5: duplicate row 'a', before, iou>0.5" in capsys.readouterr().err
