@@ -117,7 +117,7 @@ def sigmoid(z):
     """
     arr = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = np.where(arr >= 0.0, 1.0, t) / (1.0 + t)
     if out.ndim == 0:
         return float(out)
     return out

@@ -11,6 +11,7 @@ finite-difference checks for every analytic gradient in the loss module.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ INITS = ("zeros", "saturated+", "saturated-")
 
 # Initial logit magnitude for the saturated inits: sigmoid(7) ~ 0.999.
 SATURATION_LOGIT = 7.0
+_BLOCK_FLOATS = 2**14  # predictions train keeps for its loss rows (one iteration's if more)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,10 @@ class ToyDataset:
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be (n, d), got shape {self.features.shape}")
+        if self.features.ndim != 2 or not len(self.features):
+            raise ValueError(f"features must be (n, d) with n >= 1, got shape {self.features.shape}")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite: NaN and inf are rejected")
         if self.targets.shape != (self.features.shape[0],):
             raise ValueError("targets must be one value per feature row")
         losses._check_targets(self.targets)
@@ -85,8 +89,9 @@ class ToyTrainConfig:
 class TrainTrace:
     """Per-iteration loss, mean absolute error and gradient norm.
 
-    Row t describes the parameters before the t-th update.  A trace is
-    truncated with ``diverged`` set when the loss stops being finite.
+    Row t describes the parameters before the t-th update.  ``diverged``
+    marks a trace cut short: before the first non-finite loss, or after the
+    update that overflowed the parameters, when ``final_theta`` is non-finite.
     """
 
     loss: np.ndarray
@@ -136,41 +141,41 @@ def initial_theta(init: str, d: int) -> np.ndarray:
 def train(data: ToyDataset, cfg: ToyTrainConfig) -> TrainTrace:
     """Full-batch gradient descent; deterministic given the dataset and config.
 
-    The update direction is the mean of the per-sample gradients that
-    :func:`confdet.losses.sigmoid_regression_grad` gives, from the value's loss row.
+    The update is the mean per-sample gradient of the loss's row (see
+    :func:`confdet.losses.sigmoid_regression_grad`).  Loss and MAE rows are
+    computed a block of iterations at a time, bit for bit as per-row means.
     """
-    x = data.features
-    y = data.targets
+    x, y = data.features, data.targets
+    n, lr = len(y), cfg.learning_rate
     theta = initial_theta(cfg.init, x.shape[1])
     row, abs_err = losses._LOSSES[cfg.loss_kind], losses._LOSSES["l1"].value
+    block = np.empty((min(cfg.max_iters, max(1, _BLOCK_FLOATS // n)), n))
 
-    loss_rows, mae_rows, norm_rows = [], [], []
-    diverged = False
+    loss_rows, mae_rows, norm_rows, diverged = [], [], [], False
     # divergence is detected from inf/nan propagation, so let overflow happen silently
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_iters):
-            h = sigmoid(x @ theta)
-            loss = float(np.mean(row.value(h, y)))
-            if not np.isfinite(loss):
-                diverged = True
+        for start in range(0, cfg.max_iters, len(block)):
+            m = min(len(block), cfg.max_iters - start)
+            for i in range(m):
+                h = block[i] = sigmoid(x @ theta)
+                # np.mean's sum and divide without its wrapper; x.T @ g would round differently
+                grad = np.add.reduce(row.grad(h, y)[:, None] * x, axis=0) / n
+                norm_rows.append(math.sqrt(grad.dot(grad)))
+                last, theta = theta, theta - lr * grad
+                if not np.isfinite(theta).all():
+                    # overflowing weights poison every later loss; stop here
+                    diverged, m = True, i + 1
+                    break
+            loss_rows.append(np.add.reduce(row.value(block[:m], y), axis=1) / n)
+            mae_rows.append(np.add.reduce(abs_err(block[:m], y), axis=1) / n)
+            if diverged:
                 break
-            grad = (row.grad(h, y)[:, None] * x).mean(axis=0)
-            loss_rows.append(loss)
-            mae_rows.append(float(np.mean(abs_err(h, y))))
-            norm_rows.append(float(np.linalg.norm(grad)))
-            theta = theta - cfg.learning_rate * grad
-            if not np.isfinite(theta).all():
-                # overflowing weights poison every later loss; stop here
-                diverged = True
-                break
+    loss, mae, grad_norm = np.concatenate(loss_rows), np.concatenate(mae_rows), np.array(norm_rows)
+    # only a NaN prediction makes a loss non-finite, and it makes that update NaN too
+    if diverged and not np.isfinite(loss[-1]):
+        loss, mae, grad_norm, theta = loss[:-1], mae[:-1], grad_norm[:-1], last
 
-    return TrainTrace(
-        loss=np.array(loss_rows),
-        mae=np.array(mae_rows),
-        grad_norm=np.array(norm_rows),
-        final_theta=theta,
-        diverged=diverged,
-    )
+    return TrainTrace(loss=loss, mae=mae, grad_norm=grad_norm, final_theta=theta, diverged=diverged)
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:
@@ -178,10 +183,8 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "loss", "mae", "grad_norm"])
-        for t in range(len(trace)):
-            writer.writerow(
-                [t, repr(float(trace.loss[t])), repr(float(trace.mae[t])), repr(float(trace.grad_norm[t]))]
-            )
+        rows = zip(trace.loss.tolist(), trace.mae.tolist(), trace.grad_norm.tolist())
+        writer.writerows([t, *map(repr, r)] for t, r in enumerate(rows))
         if trace.diverged:
             fh.write(f"# diverged: loss left the finite range after iteration {len(trace) - 1}\n")
 
@@ -283,11 +286,8 @@ def finite_diff_check(loss_kind: str, tol: float = 1e-6, trials: int = 100, seed
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    trial = _theta_space_trial if loss_kind in REGRESSION_LOSSES else _logit_space_trial
     worst = 0.0
     for _ in range(trials):
-        if loss_kind in REGRESSION_LOSSES:
-            err = _theta_space_trial(loss_kind, rng)
-        else:
-            err = _logit_space_trial(loss_kind, rng)
-        worst = max(worst, err)
+        worst = max(worst, trial(loss_kind, rng))
     return worst

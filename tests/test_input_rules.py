@@ -126,6 +126,15 @@ class TestTrainingInputs:
         with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
             ToyDataset(features=np.ones((4, 2)), targets=targets, seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, value):
+        with pytest.raises(ValueError, match="features must be finite: NaN and inf are rejected"):
+            ToyDataset(features=[[1.0, value], [1.0, 2.0]], targets=[0.5, 0.5], seed=0)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match=r"features must be \(n, d\) with n >= 1, got shape \(0, 3\)"):
+            ToyDataset(features=np.empty((0, 3)), targets=np.empty(0), seed=0)
+
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
             make_dataset(10, 3, seed=0, noise=math.nan)

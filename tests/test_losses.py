@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from confdet.losses import (
     weighted_ce_confidence_loss,
     weighted_ce_confidence_loss_grad,
 )
+from toytrain_oracle import sigmoid_two_divide
 
 LN2 = math.log(2.0)
 
@@ -59,6 +61,19 @@ class TestSigmoid:
         out = sigmoid(np.zeros((3, 2)))
         assert out.shape == (3, 2)
         assert (out == 0.5).all()
+
+    def test_one_divide_matches_two_divides_bit_for_bit(self):
+        # the same value at every edge, NaN's bits included
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -1e-310, 745.0, -745.0, 746.0, -746.0, 36.7, -36.7, 1e308, -1e308, 1.7976931348623157e308]
+        rng = np.random.default_rng(0)
+        patterns = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([edges, patterns, rng.standard_normal(100_000) * 40.0])
+        with np.errstate(invalid="ignore"):
+            assert (sigmoid(values).view(np.uint64) == sigmoid_two_divide(values).view(np.uint64)).all()
+            for z in edges:
+                got, want = sigmoid(z), sigmoid_two_divide(z)
+                assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestFocalLoss:
