@@ -120,6 +120,14 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """The rule for a count such as ``top_k``: an int or numpy integer, not bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 

@@ -160,18 +160,29 @@ def _prep_masked(logits, targets, positive, n_pos):
     return z, y, pos, n_pos
 
 
-def _focal_prep(logits, positive, n_pos: int, params: FocalParams):
-    """Checked labels, and p, p_t (clamped) and alpha_t of each logit, for the focal loss and its gradient."""
+def _focal_prep(logits, positive, n_pos: int):
+    """Checked logits and labels for the focal loss and its gradient."""
     z = _as_logits(logits)
     pos = np.asarray(positive, dtype=bool).reshape(-1)
     if z.shape != pos.shape:
         raise ValueError("logits and labels length mismatch")
     if n_pos < 1:
         raise ValueError("n_pos must be >= 1")
+    return z, pos
+
+
+def _focal_terms(z, pos, params: FocalParams):
+    """p, p_t (clamped) and alpha_t of each logit of z (..., n), labels ``pos`` (n,)."""
     p = sigmoid(z)
     p_t = _clamped(np.where(pos, p, 1.0 - p))
     a_t = np.where(pos, params.alpha, 1.0 - params.alpha)
-    return pos, p, p_t, a_t
+    return p, p_t, a_t
+
+
+def _focal_rows(z, pos, n_pos: int, params: FocalParams):
+    """The focal loss of each row of z (..., n), summed over the last axis, / n_pos."""
+    _, p_t, a_t = _focal_terms(z, pos, params)
+    return (a_t * (1.0 - p_t) ** params.gamma * (-np.log(p_t))).sum(axis=-1) / n_pos
 
 
 def focal_loss(logits, positive, n_pos: int, params: FocalParams = FocalParams()) -> float:
@@ -180,14 +191,13 @@ def focal_loss(logits, positive, n_pos: int, params: FocalParams = FocalParams()
     Per sample: alpha_t * (1 - p_t)^gamma * (-ln p_t) with p_t = p for
     positives and 1 - p for negatives, alpha_t likewise alpha / 1 - alpha.
     """
-    _, _, p_t, a_t = _focal_prep(logits, positive, n_pos, params)
-    per_sample = a_t * (1.0 - p_t) ** params.gamma * (-np.log(p_t))
-    return float(per_sample.sum() / n_pos)
+    return float(_focal_rows(*_focal_prep(logits, positive, n_pos), n_pos, params))
 
 
 def focal_loss_grad(logits, positive, n_pos: int, params: FocalParams = FocalParams()) -> np.ndarray:
     """d(focal_loss)/d(logits), same normalization as the value."""
-    pos, p, p_t, a_t = _focal_prep(logits, positive, n_pos, params)
+    z, pos = _focal_prep(logits, positive, n_pos)
+    p, p_t, a_t = _focal_terms(z, pos, params)
     g = params.gamma
     if g == 0.0:
         d_pt = -a_t / p_t
@@ -287,22 +297,25 @@ _LOSSES = {
 CONF_LOSS_NAMES = tuple(_LOSSES)
 
 
-def _reduce(kind: ConfLossKind, logits, targets_iou, positive, n_pos, grad: bool):
-    """Sum ``kind``'s per-sample loss (or its gradient) over the scored samples / n_pos.
+def _reduce(kind: ConfLossKind, z, y, pos, n_pos: int, grad: bool):
+    """Sum ``kind``'s per-sample loss over the scored samples / n_pos, or take its gradient.
 
-    Gradients are scattered back to full length, 0 on unscored samples.
+    ``y``, ``pos`` and ``n_pos`` are checked (see _prep_masked).  The value
+    is one sum per row of z (..., n), over the last axis; the gradient takes
+    a 1-D z and is scattered back to full length, 0 on unscored samples.
+    Positives are taken with np.compress: on a stack, z[..., pos] is laid
+    out column by column, which regroups each row's sum.
     """
     row = _LOSSES[kind.name]
-    z, y, pos, n_pos = _prep_masked(logits, targets_iou, positive, n_pos)
     if row.keeps_negatives:
         weights = np.where(pos, 1.0, kind.w)
         p, y = sigmoid(z), np.where(pos, y, 0.0)
         if grad:
             return weights * row.grad(p, y, kind) / n_pos
-        return float((weights * row.value(p, y, kind)).sum() / n_pos)
-    p, y = sigmoid(z[pos]), y[pos]
+        return (weights * row.value(p, y, kind)).sum(axis=-1) / n_pos
+    p, y = sigmoid(np.compress(pos, z, axis=-1)), y[pos]
     if not grad:
-        return float(row.value(p, y, kind).sum() / n_pos)
+        return row.value(p, y, kind).sum(axis=-1) / n_pos
     out = np.zeros_like(z)
     out[pos] = row.grad(p, y, kind) / n_pos
     return out
@@ -314,12 +327,12 @@ def confidence_loss(kind: ConfLossKind, logits, targets_iou, positive=None, n_po
     All kinds except weighted_ce restrict to positive samples; weighted_ce
     keeps negatives at weight ``kind.w``.
     """
-    return _reduce(kind, logits, targets_iou, positive, n_pos, grad=False)
+    return float(_reduce(kind, *_prep_masked(logits, targets_iou, positive, n_pos), grad=False))
 
 
 def confidence_loss_grad(kind: ConfLossKind, logits, targets_iou, positive=None, n_pos: int | None = None) -> np.ndarray:
     """d(confidence_loss)/d(logits) for the selected kind."""
-    return _reduce(kind, logits, targets_iou, positive, n_pos, grad=True)
+    return _reduce(kind, *_prep_masked(logits, targets_iou, positive, n_pos), grad=True)
 
 
 def ce_confidence_loss(logits, targets_iou, positive=None, n_pos: int | None = None) -> float:

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
-    Box, _areas, _batches, _check_class_id, _check_unit, _corners_from_json, _iou_row, _Rows, boxes_to_array,
-    class_id_from_json, read_jsonl, write_jsonl,
+    Box, _areas, _batches, _check_class_id, _check_count, _check_unit, _corners_from_json, _iou_row, _Rows,
+    boxes_to_array, class_id_from_json, read_jsonl, write_jsonl,
 )
 
 __all__ = [
@@ -407,10 +407,8 @@ def inference_pipeline(
     :func:`group_by_image` view, gives a read-only sequence; a plain
     iterable gives a list.
     """
-    if top_k is not None and (isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer))):
-        raise ValueError(f"top_k must be an int, got {top_k!r}")
-    if top_k is not None and top_k < 0:
-        raise ValueError(f"top_k must be >= 0, got {top_k}")
+    if top_k is not None:
+        _check_count("top_k", top_k, 0)
     out = dets
     if fusion_params.obj_gate is not None:
         out = gate(out, fusion_params.obj_gate)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+from .geometry import _check_count
 from .losses import sigmoid, sigmoid_regression_grad
 
 __all__ = [
@@ -79,8 +80,7 @@ class ToyTrainConfig:
             raise ValueError(f"loss_kind must be one of {REGRESSION_LOSSES}, got {self.loss_kind!r}")
         if not self.learning_rate > 0.0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters, 1)
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
@@ -197,17 +197,21 @@ _WCE = losses.ConfLossKind("weighted_ce", w=0.25)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max |analytic - numeric| over the larger max magnitude; NaN if either has a non-finite entry."""
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return math.nan
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
 
 
 def _central_diff(fn, z: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(z)
-    for j in range(z.size):
-        bump = np.zeros_like(z)
-        bump[j] = _FD_STEP
-        grad[j] = (fn(z + bump) - fn(z - bump)) / (2.0 * _FD_STEP)
-    return grad
+    """Central differences of ``fn`` at ``z`` (n,) from one call on all 2n perturbed points.
+
+    ``fn`` maps a (2n, n) stack, z + step * e_j then z - step * e_j, to one value per row.
+    """
+    bumps = np.eye(z.size) * _FD_STEP
+    values = fn(np.concatenate([z + bumps, z - bumps]))
+    return (values[: z.size] - values[z.size :]) / (2.0 * _FD_STEP)
 
 
 def _ce_divergence(h: float, y: float) -> float:
@@ -240,7 +244,8 @@ def _theta_space_trial(kind: str, rng: np.random.Generator) -> float:
             break
 
     analytic = sigmoid_regression_grad(kind, y, float(x @ theta), x)
-    numeric = _central_diff(lambda t: loss(sigmoid(float(x @ t)), y), theta)
+    # one scalar row at a time: numpy's square and a float's ** 2 round differently
+    numeric = _central_diff(lambda ts: np.array([loss(sigmoid(float(x @ t)), y) for t in ts]), theta)
     return _rel_err(analytic, numeric)
 
 
@@ -256,14 +261,16 @@ def _logit_space_trial(kind: str, rng: np.random.Generator) -> float:
     if not pos.any():
         pos[0] = True
     n_pos = int(pos.sum())
+    # the analytic call runs the public checks on y, pos and n_pos; the row-wise
+    # value then scores the whole stack of perturbed logits with those arrays
     if kind == "focal":
-        value = lambda zz: losses.focal_loss(zz, pos, n_pos)
         analytic = losses.focal_loss_grad(z, pos, n_pos)
+        value = lambda zs: losses._focal_rows(zs, pos, n_pos, losses.FocalParams())
     else:
         conf = _WCE if kind == "wce" else losses.ConfLossKind(kind)
         y = np.where(pos, rng.uniform(0.0, 1.0, size=n), 0.0)
-        value = lambda zz: losses.confidence_loss(conf, zz, y, pos, n_pos)
         analytic = losses.confidence_loss_grad(conf, z, y, pos, n_pos)
+        value = lambda zs: losses._reduce(conf, zs, y, pos, n_pos, grad=False)
     numeric = _central_diff(value, z)
     return _rel_err(analytic, numeric)
 
@@ -276,6 +283,15 @@ def finite_diff_check(loss_kind: str, tol: float = 1e-6, trials: int = 100, seed
     (weighted cross entropy) and smooth_l1 in logit space on small batches.
     All sample points keep |pre-sigmoid value| <= 6.  ``tol`` is the threshold
     callers compare the result against; it does not affect the computation.
+
+    Each trial stacks its 2n perturbed points (every coordinate moved by
+    +-1e-6) into one (2n, n) array and evaluates them together: a logit-space
+    trial scores the stack with one call of the loss's row-wise value, the
+    arithmetic of the public loss; a weight-space trial maps each row to a
+    scalar loss.  The differences are bit for bit those of one public loss
+    call per point.  A non-finite analytic or numeric gradient entry makes
+    the result NaN, which fails every ``err < tol`` comparison.
+    ``trials`` is an int >= 1 (a bool is rejected).
     """
     if loss_kind == "weighted_ce":
         loss_kind = "wce"
@@ -283,11 +299,8 @@ def finite_diff_check(loss_kind: str, tol: float = 1e-6, trials: int = 100, seed
         raise ValueError(f"loss_kind must be one of {GRADCHECK_LOSSES}, got {loss_kind!r}")
     if not tol >= 0.0:  # NaN too
         raise ValueError(f"tol must be >= 0, got {tol}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     trial = _theta_space_trial if loss_kind in REGRESSION_LOSSES else _logit_space_trial
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, trial(loss_kind, rng))
-    return worst
+    # np.max, unlike max(), keeps a NaN trial
+    return float(np.max([trial(loss_kind, rng) for _ in range(trials)]))

@@ -211,3 +211,30 @@ def test_train_matches_public_gradient_loop_when_diverging():
     data = ToyDataset(features=base.features * 1e200, targets=base.targets, seed=8)
     trace = _assert_same_trace(data, ToyTrainConfig(loss_kind="ce", learning_rate=1e200, max_iters=50))
     assert trace.diverged
+
+
+# (name in the message, the smallest valid value, a constructor of the checked value)
+_COUNT_VALUES = [
+    ("top_k", 0, lambda v: inference_pipeline([], top_k=v)),
+    ("max_iters", 1, lambda v: ToyTrainConfig(max_iters=v)),
+    ("trials", 1, lambda v: finite_diff_check("l2", trials=v)),
+]
+
+
+class TestCountRule:
+    @pytest.mark.parametrize(("name", "minimum", "make"), _COUNT_VALUES)
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "2", np.float64(2.0)])
+    def test_non_int_rejected_by_name(self, name, minimum, make, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            make(value)
+
+    @pytest.mark.parametrize(("name", "minimum", "make"), _COUNT_VALUES)
+    def test_below_minimum_rejected_by_name(self, name, minimum, make):
+        for value in (minimum - 1, np.int64(minimum - 5)):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {minimum}, got {value}")):
+                make(value)
+
+    @pytest.mark.parametrize(("name", "minimum", "make"), _COUNT_VALUES)
+    def test_numpy_int_accepted(self, name, minimum, make):
+        for kind in (np.int64, np.int32, np.uint8):
+            assert make(kind(minimum + 1)) == make(minimum + 1)
