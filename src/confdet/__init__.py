@@ -9,9 +9,6 @@ from .geometry import (
     Anchor,
     AnchorGridConfig,
     Box,
-    BoxDelta,
-    decode,
-    encode,
     generate_anchors,
     iou,
     iou_matrix,
@@ -24,20 +21,16 @@ from .assignment import (
     GroundTruthBox,
     assign,
     confidence_targets,
-    localization_targets,
 )
 from .losses import (
     ConfLossKind,
     FocalParams,
-    LossBreakdown,
     ce_confidence_loss,
     confidence_loss,
     focal_loss,
     gfocal_loss,
-    l1_localization_loss,
     sigmoid,
     sigmoid_regression_grad,
-    total_loss,
     weighted_ce_confidence_loss,
 )
 from .fusion import CLS_ONLY, MULTIPLY, PRODUCT, FusionParams, fuse, gate

@@ -13,8 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Anchor, Box, BoxDelta, _areas, _check_class_id, _corners, _iou_row, _windows, boxes_to_array, class_id_from_json,
-    encode, read_jsonl,
+    Anchor, Box, _areas, _check_class_id, _corners, _iou_row, _windows, boxes_to_array, class_id_from_json, read_jsonl,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "AssignmentResult",
     "assign",
     "confidence_targets",
-    "localization_targets",
     "load_ground_truth_jsonl",
 ]
 
@@ -207,27 +205,6 @@ def confidence_targets(result: AssignmentResult) -> tuple[np.ndarray, np.ndarray
     used = result.positive_mask
     targets = np.where(used, result.matched_iou, 0.0)
     return targets, used
-
-
-def localization_targets(
-    anchors: Sequence[Anchor | Box],
-    gts: Sequence[GroundTruthBox],
-    result: AssignmentResult,
-) -> list[BoxDelta]:
-    """Encode each positive anchor against its matched ground truth.
-
-    Output is in anchor order, one delta per positive anchor.
-    """
-    if len(anchors) != result.n_total:
-        raise ValueError(f"result covers {result.n_total} anchors, got {len(anchors)}")
-    deltas = []
-    for i in np.flatnonzero(result.positive_mask):
-        j = int(result.labels[i])
-        if j >= len(gts):
-            raise ValueError(f"corrupt assignment: anchor {i} matched to missing gt {j}")
-        anchor = anchors[i]
-        deltas.append(encode(anchor.box if isinstance(anchor, Anchor) else anchor, gts[j].box))
-    return deltas
 
 
 def _image_gt_from_dict(record: dict) -> tuple[str, GroundTruthBox]:

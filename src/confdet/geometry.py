@@ -1,4 +1,4 @@
-"""Axis-aligned box geometry: IoU, anchor grids, and box-delta transforms.
+"""Axis-aligned box geometry: IoU and anchor grids.
 
 Boxes use the corner convention (x1, y1, x2, y2) with continuous
 coordinates; width is x2 - x1 with no +1 pixel correction, so IoU is the
@@ -22,13 +22,10 @@ __all__ = [
     "Box",
     "Anchor",
     "AnchorGridConfig",
-    "BoxDelta",
     "iou",
     "iou_matrix",
     "boxes_to_array",
     "generate_anchors",
-    "encode",
-    "decode",
 ]
 
 _FLOAT_MAX = sys.float_info.max
@@ -240,24 +237,6 @@ class Anchor:
 
 
 @dataclass(frozen=True)
-class BoxDelta:
-    """Dimensionless center/size offsets (tx, ty, tw, th) between two boxes."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        values = (self.tx, self.ty, self.tw, self.th)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"box delta must be finite, got {values}")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tw, self.th], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class AnchorGridConfig:
     """Anchor layout: one grid per stride, |scales| * |ratios| shapes per cell.
 
@@ -271,14 +250,14 @@ class AnchorGridConfig:
     ratios: tuple[float, ...]
 
     def __post_init__(self):
+        for s in self.strides:
+            _check_count("strides", s, 1)
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
         object.__setattr__(self, "base_sizes", tuple(float(b) for b in self.base_sizes))
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         if not self.strides:
             raise ValueError("strides must be non-empty")
-        if any(s <= 0 for s in self.strides):
-            raise ValueError(f"strides must be positive, got {self.strides}")
         if any(b <= a for a, b in zip(self.strides, self.strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {self.strides}")
         if len(self.base_sizes) != len(self.strides):
@@ -527,39 +506,3 @@ def generate_anchors(config: AnchorGridConfig, image_w: int, image_h: int) -> Se
 
     return _AnchorGrid(corners, starts, [cols for _, cols in grids], len(shapes), extents)
 
-
-def encode(anchor: Box, target: Box) -> BoxDelta:
-    """Center-offset/log-size delta taking ``anchor`` onto ``target``.
-
-    tx = (cx_t - cx_a) / w_a, ty = (cy_t - cy_a) / h_a,
-    tw = ln(w_t / w_a), th = ln(h_t / h_a).  No variance scaling.
-    """
-    if anchor.width <= 0 or anchor.height <= 0:
-        raise ValueError(f"anchor must have positive size, got {anchor}")
-    if target.width <= 0 or target.height <= 0:
-        raise ValueError(f"target must have positive size, got {target}")
-    acx, acy = anchor.center
-    tcx, tcy = target.center
-    return BoxDelta(
-        tx=(tcx - acx) / anchor.width,
-        ty=(tcy - acy) / anchor.height,
-        tw=math.log(target.width / anchor.width),
-        th=math.log(target.height / anchor.height),
-    )
-
-
-def decode(anchor: Box, delta: BoxDelta) -> Box:
-    """Exact inverse of :func:`encode`."""
-    if anchor.width <= 0 or anchor.height <= 0:
-        raise ValueError(f"anchor must have positive size, got {anchor}")
-    try:
-        w = anchor.width * math.exp(delta.tw)
-        h = anchor.height * math.exp(delta.th)
-    except OverflowError:
-        raise ValueError(f"size delta overflows exp: tw={delta.tw}, th={delta.th}") from None
-    if not (math.isfinite(w) and math.isfinite(h)):
-        raise ValueError(f"decoded size not finite: tw={delta.tw}, th={delta.th}")
-    acx, acy = anchor.center
-    cx = acx + delta.tx * anchor.width
-    cy = acy + delta.ty * anchor.height
-    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)

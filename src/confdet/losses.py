@@ -1,8 +1,8 @@
 """Detector losses: values and analytic gradients w.r.t. pre-sigmoid logits.
 
-Covers the focal classification loss, the L1 box-delta loss, and the
-object-confidence loss family over continuous IoU targets in [0, 1]:
-cross entropy, cross entropy with a down-weighted negative term, the
+Covers the focal classification loss and the object-confidence loss
+family over continuous IoU targets in [0, 1]: cross entropy, cross
+entropy with a down-weighted negative term, the
 |y - p|^beta modulated cross entropy, and plain l1 / smooth-l1 / l2
 regression through the sigmoid.  Also the per-sample weight gradients of
 l1/l2/cross-entropy for a sigmoid regression model h = sigmoid(theta . x),
@@ -22,21 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import BoxDelta, _check_unit
+from .geometry import _check_count, _check_unit
 
 __all__ = [
     "P_CLAMP",
     "FocalParams",
     "ConfLossKind",
-    "LossBreakdown",
     "sigmoid",
     "focal_loss",
     "focal_loss_grad",
-    "l1_localization_loss",
     "ce_confidence_loss",
     "ce_confidence_loss_grad",
     "weighted_ce_confidence_loss",
@@ -52,7 +50,6 @@ __all__ = [
     "confidence_loss",
     "confidence_loss_grad",
     "sigmoid_regression_grad",
-    "total_loss",
 ]
 
 # Probabilities are clamped away from {0, 1} before any log; the perturbation
@@ -69,8 +66,8 @@ class FocalParams:
 
     def __post_init__(self):
         _check_unit("alpha", self.alpha)
-        if not self.gamma >= 0.0:  # NaN fails too
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:  # NaN fails too
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -91,22 +88,12 @@ class ConfLossKind:
         if self.name not in CONF_LOSS_NAMES:
             raise ValueError(f"unknown confidence loss {self.name!r}, expected one of {CONF_LOSS_NAMES}")
         # written so that NaN fails each check
-        if not self.w >= 0.0:
-            raise ValueError(f"negative-sample weight must be >= 0, got {self.w}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.smooth_l1_threshold > 0.0:
-            raise ValueError(f"smooth_l1 threshold must be > 0, got {self.smooth_l1_threshold}")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Classification, localization and object-confidence losses plus their sum."""
-
-    classification: float
-    localization: float
-    object_confidence: float
-    total: float
+        if not 0.0 <= self.w < math.inf:
+            raise ValueError(f"w must be finite and >= 0, got {self.w}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.smooth_l1_threshold < math.inf:
+            raise ValueError(f"smooth_l1_threshold must be finite and > 0, got {self.smooth_l1_threshold}")
 
 
 def sigmoid(z):
@@ -155,8 +142,7 @@ def _prep_masked(logits, targets, positive, n_pos):
             raise ValueError("positive mask must match logits length")
     if n_pos is None:
         n_pos = int(np.count_nonzero(pos))
-    if n_pos < 1:
-        raise ValueError("n_pos must be >= 1 (no positive samples to normalize by)")
+    _check_count("n_pos", n_pos, 1)
     return z, y, pos, n_pos
 
 
@@ -166,8 +152,7 @@ def _focal_prep(logits, positive, n_pos: int):
     pos = np.asarray(positive, dtype=bool).reshape(-1)
     if z.shape != pos.shape:
         raise ValueError("logits and labels length mismatch")
-    if n_pos < 1:
-        raise ValueError("n_pos must be >= 1")
+    _check_count("n_pos", n_pos, 1)
     return z, pos
 
 
@@ -205,30 +190,6 @@ def focal_loss_grad(logits, positive, n_pos: int, params: FocalParams = FocalPar
         d_pt = a_t * (g * (1.0 - p_t) ** (g - 1.0) * np.log(p_t) - (1.0 - p_t) ** g / p_t)
     dpt_dz = np.where(pos, 1.0, -1.0) * p * (1.0 - p)
     return d_pt * dpt_dz / n_pos
-
-
-def _deltas_to_array(deltas) -> np.ndarray:
-    if isinstance(deltas, np.ndarray):
-        arr = np.asarray(deltas, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError(f"expected (n, 4) delta array, got shape {arr.shape}")
-        return arr
-    return np.array([d.to_array() for d in deltas], dtype=np.float64).reshape(-1, 4)
-
-
-def l1_localization_loss(
-    pred: Sequence[BoxDelta] | np.ndarray,
-    target: Sequence[BoxDelta] | np.ndarray,
-    n_pos: int,
-) -> float:
-    """Sum of |pred - target| over all four delta components, divided by n_pos."""
-    p = _deltas_to_array(pred)
-    t = _deltas_to_array(target)
-    if p.shape != t.shape:
-        raise ValueError(f"pred/target length mismatch: {p.shape[0]} vs {t.shape[0]}")
-    if n_pos < 1:
-        raise ValueError("n_pos must be >= 1")
-    return float(np.abs(p - t).sum() / n_pos)
 
 
 # ---------------------------------------------------------------- confidence losses
@@ -436,16 +397,3 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
         return factor[:, None] * x_arr
     raise ValueError(f"incompatible shapes: y {y_arr.shape}, x {x_arr.shape}")
 
-
-def total_loss(cls: float, loc: float, conf: float) -> LossBreakdown:
-    """Combine the three task losses with unit weights."""
-    parts = {"classification": cls, "localization": loc, "object_confidence": conf}
-    for name, value in parts.items():
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} loss must be finite and non-negative, got {value}")
-    return LossBreakdown(
-        classification=cls,
-        localization=loc,
-        object_confidence=conf,
-        total=cls + loc + conf,
-    )

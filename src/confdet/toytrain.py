@@ -116,8 +116,8 @@ def make_dataset(n: int, d: int, seed: int, noise: float = 0.1) -> ToyDataset:
     generating weights w* stay hidden.  Identical (n, d, seed, noise) give
     bit-identical datasets.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    _check_count("n", n, 1)
+    _check_count("d", d, 1)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
     features[:, 0] = 1.0

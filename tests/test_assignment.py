@@ -7,14 +7,12 @@ from confdet.assignment import (
     IGNORE,
     NEGATIVE,
     AssignerConfig,
-    AssignmentResult,
     GroundTruthBox,
     assign,
     confidence_targets,
     load_ground_truth_jsonl,
-    localization_targets,
 )
-from confdet.geometry import Box, encode, iou
+from confdet.geometry import Box
 
 
 def gt(x1, y1, x2, y2, class_id=0):
@@ -171,43 +169,6 @@ class TestConfidenceTargets:
         targets, used = confidence_targets(result)
         assert (targets == 0.0).all()
         assert not used.any()
-
-
-class TestLocalizationTargets:
-    def test_exact_match_gives_zero_delta(self):
-        box = Box(2, 2, 12, 12)
-        result = assign([box], [GroundTruthBox(box=box, class_id=0)])
-        (delta,) = localization_targets([box], [GroundTruthBox(box=box, class_id=0)], result)
-        assert delta.to_array() == pytest.approx(np.zeros(4))
-
-    def test_single_pair_delegates_to_encode(self):
-        anchor = strip_box(0, 0, 10, 8)
-        target = gt(0, 0, 10, 10)
-        result = assign([anchor], [target])
-        (delta,) = localization_targets([anchor], [target], result)
-        assert delta == encode(anchor, target.box)
-
-    def test_matches_per_anchor_loop(self):
-        rng = np.random.default_rng(6)
-        anchors = [Box(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0, 30, (30, 4)) + 1]
-        gts = [gt(3, 3, 20, 20), gt(15, 8, 28, 31, class_id=1)]
-        result = assign(anchors, gts)
-        deltas = localization_targets(anchors, gts, result)
-        expected = [
-            encode(anchors[i], gts[int(result.labels[i])].box)
-            for i in np.flatnonzero(result.positive_mask)
-        ]
-        assert deltas == expected
-
-    def test_corrupt_result_rejected(self):
-        anchor = strip_box(0, 0, 10, 9)
-        gts = [gt(0, 0, 10, 10)]
-        result = assign([anchor], gts)
-        corrupt = AssignmentResult(
-            labels=np.array([5]), matched_iou=result.matched_iou, forced=result.forced
-        )
-        with pytest.raises(ValueError, match="corrupt"):
-            localization_targets([anchor], gts, corrupt)
 
 
 class TestGroundTruthJsonl:

@@ -10,11 +10,8 @@ from confdet.geometry import (
     Anchor,
     AnchorGridConfig,
     Box,
-    BoxDelta,
     _iou_row,
     boxes_to_array,
-    decode,
-    encode,
     generate_anchors,
     iou,
     iou_matrix,
@@ -207,54 +204,6 @@ class TestGenerateAnchors:
         config = AnchorGridConfig.retinanet_defaults()
         with pytest.raises(ValueError):
             generate_anchors(config, 0, 100)
-
-
-class TestEncodeDecode:
-    def test_self_encode_is_zero(self):
-        box = Box(3.0, 4.0, 9.0, 20.0)
-        delta = encode(box, box)
-        assert delta == BoxDelta(0.0, 0.0, 0.0, 0.0)
-
-    def test_known_shift(self):
-        delta = encode(Box(0, 0, 10, 10), Box(5, 0, 15, 10))
-        assert delta.tx == pytest.approx(0.5)
-        assert delta.ty == 0.0
-        assert delta.tw == 0.0
-        assert delta.th == 0.0
-
-    def test_zero_delta_decodes_to_anchor(self):
-        box = Box(2.0, 3.0, 8.0, 11.0)
-        decoded = decode(box, BoxDelta(0.0, 0.0, 0.0, 0.0))
-        assert decoded.to_list() == pytest.approx(box.to_list(), abs=1e-12)
-
-    def test_log_width_delta(self):
-        decoded = decode(Box(0, 0, 10, 10), BoxDelta(0.0, 0.0, math.log(2.0), 0.0))
-        assert decoded.width == pytest.approx(20.0)
-        assert decoded.center == pytest.approx((5.0, 5.0))
-
-    @given(anchor=_finite_box(), target=_finite_box())
-    @settings(max_examples=200)
-    def test_round_trip(self, anchor, target):
-        decoded = decode(anchor, encode(anchor, target))
-        assert decoded.to_list() == pytest.approx(target.to_list(), abs=1e-9)
-
-    def test_rejects_degenerate_anchor(self):
-        with pytest.raises(ValueError):
-            encode(Box(0, 0, 0, 10), Box(0, 0, 10, 10))
-        with pytest.raises(ValueError):
-            decode(Box(0, 0, 0, 10), BoxDelta(0, 0, 0, 0))
-
-    def test_rejects_degenerate_target(self):
-        with pytest.raises(ValueError):
-            encode(Box(0, 0, 10, 10), Box(0, 0, 10, 0))
-
-    def test_decode_overflow_rejected(self):
-        with pytest.raises(ValueError, match="overflow|finite"):
-            decode(Box(0, 0, 10, 10), BoxDelta(0.0, 0.0, 1000.0, 0.0))
-
-    def test_delta_rejects_nan(self):
-        with pytest.raises(ValueError):
-            BoxDelta(float("nan"), 0.0, 0.0, 0.0)
 
 
 def test_anchor_carries_level_and_cell():

@@ -1,10 +1,11 @@
 """Each input rule has one copy, and every value it covers fails it the same way.
 
 The [0, 1] rule covers eleven values in four modules, the class-id rule
-two records, and the training-target rule both the losses and the toy
-dataset.  ``train`` takes its gradient from the loss table; a reference
-loop that calls the public ``sigmoid_regression_grad`` on every iteration
-holds it bit for bit.
+two records, the count rule eight values in four modules, the finite rule
+the four loss parameters, and the training-target rule both the losses
+and the toy dataset.  ``train`` takes its gradient from the loss table; a
+reference loop that calls the public ``sigmoid_regression_grad`` on every
+iteration holds it bit for bit.
 """
 
 import math
@@ -18,8 +19,8 @@ from confdet.analysis import Condition
 from confdet.assignment import GroundTruthBox
 from confdet.cli import main
 from confdet.fusion import FusionParams, fuse
-from confdet.geometry import Box, _areas, boxes_to_array
-from confdet.losses import FocalParams, sigmoid, sigmoid_regression_grad
+from confdet.geometry import AnchorGridConfig, Box, _areas, boxes_to_array
+from confdet.losses import ConfLossKind, FocalParams, confidence_loss, focal_loss, sigmoid, sigmoid_regression_grad
 from confdet.postprocess import Detection, NmsParams, dump_detections_jsonl, inference_pipeline, load_detections_jsonl
 from confdet.toytrain import (
     INITS, REGRESSION_LOSSES, ToyDataset, ToyTrainConfig, finite_diff_check, initial_theta, make_dataset, train,
@@ -79,6 +80,18 @@ def test_areas_equal_box_area_bit_for_bit():
         boxes.append(Box(x, y, x + abs(w) * 1e-3, y + abs(h) * 1e5))
     got = _areas(boxes_to_array(boxes)).tolist()
     assert [a.hex() for a in got] == [b.area.hex() for b in boxes]
+
+
+@pytest.mark.parametrize(("name", "build"), [
+    ("gamma", lambda v: FocalParams(gamma=v)),
+    ("beta", lambda v: ConfLossKind("gfocal", beta=v)),
+    ("w", lambda v: ConfLossKind("weighted_ce", w=v)),
+    ("smooth_l1_threshold", lambda v: ConfLossKind("smooth_l1", smooth_l1_threshold=v)),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_loss_parameter_rejected_by_name(name, build, value):
+    with pytest.raises(ValueError, match=rf"^{name}\b.* must be finite .*, got {value}$"):
+        build(value)
 
 
 class TestTopK:
@@ -218,6 +231,11 @@ _COUNT_VALUES = [
     ("top_k", 0, lambda v: inference_pipeline([], top_k=v)),
     ("max_iters", 1, lambda v: ToyTrainConfig(max_iters=v)),
     ("trials", 1, lambda v: finite_diff_check("l2", trials=v)),
+    ("n_pos", 1, lambda v: confidence_loss(ConfLossKind("ce"), [0.3, -1.0], [0.5, 0.8], n_pos=v)),
+    ("n_pos", 1, lambda v: focal_loss([0.3, -1.0], [True, False], n_pos=v)),
+    ("n", 1, lambda v: make_dataset(v, 3, 0).targets.tolist()),
+    ("d", 1, lambda v: make_dataset(5, v, 0).targets.tolist()),
+    ("strides", 1, lambda v: AnchorGridConfig(strides=(v,), base_sizes=(32.0,), scales=(1.0,), ratios=(1.0,))),
 ]
 
 

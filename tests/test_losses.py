@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-from confdet.geometry import BoxDelta
 from confdet.losses import (
     ConfLossKind,
     FocalParams,
@@ -17,12 +16,10 @@ from confdet.losses import (
     gfocal_loss,
     gfocal_loss_grad,
     l1_confidence_loss,
-    l1_localization_loss,
     l2_confidence_loss,
     sigmoid,
     sigmoid_regression_grad,
     smooth_l1_confidence_loss,
-    total_loss,
     weighted_ce_confidence_loss,
     weighted_ce_confidence_loss_grad,
 )
@@ -111,32 +108,6 @@ class TestFocalLoss:
             FocalParams(alpha=1.5)
         with pytest.raises(ValueError):
             FocalParams(gamma=-1.0)
-
-
-class TestL1LocalizationLoss:
-    def test_zero_at_fit(self):
-        deltas = [BoxDelta(0.1, 0.2, -0.3, 0.4)]
-        assert l1_localization_loss(deltas, deltas, n_pos=1) == 0.0
-
-    def test_sum_of_absolute_components(self):
-        pred = [BoxDelta(0.1, -0.2, 0.0, 0.3)]
-        target = [BoxDelta(0.0, 0.0, 0.0, 0.0)]
-        assert l1_localization_loss(pred, target, n_pos=1) == pytest.approx(0.6)
-
-    def test_homogeneous(self):
-        pred = [BoxDelta(0.2, -0.4, 0.0, 0.6)]
-        target = [BoxDelta(0.0, 0.0, 0.0, 0.0)]
-        single = l1_localization_loss([BoxDelta(0.1, -0.2, 0.0, 0.3)], target, n_pos=1)
-        assert l1_localization_loss(pred, target, n_pos=1) == pytest.approx(2.0 * single)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            l1_localization_loss([BoxDelta(0, 0, 0, 0)], [], n_pos=1)
-
-    def test_accepts_arrays(self):
-        pred = np.array([[0.1, -0.2, 0.0, 0.3]])
-        target = np.zeros((1, 4))
-        assert l1_localization_loss(pred, target, n_pos=1) == pytest.approx(0.6)
 
 
 class TestCeConfidenceLoss:
@@ -413,29 +384,6 @@ class TestConfLossKindDispatch:
         # with a small threshold the loss goes linear above it
         value = smooth_l1_confidence_loss([logit(0.9)], [0.0], threshold=0.5)
         assert value == pytest.approx(0.9 - 0.25, abs=1e-9)
-
-
-class TestTotalLoss:
-    def test_zero(self):
-        assert total_loss(0.0, 0.0, 0.0).total == 0.0
-
-    def test_sum(self):
-        breakdown = total_loss(1.0, 2.0, 3.0)
-        assert breakdown.total == 6.0
-        assert breakdown.classification == 1.0
-        assert breakdown.localization == 2.0
-        assert breakdown.object_confidence == 3.0
-
-    def test_commutative_total(self):
-        assert total_loss(1.0, 2.0, 3.0).total == total_loss(3.0, 1.0, 2.0).total
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            total_loss(-1.0, 0.0, 0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            total_loss(float("inf"), 0.0, 0.0)
 
 
 def test_losses_permutation_invariant():
