@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruthBox, _best_matches
-from .geometry import Anchor, Box, _check_unit, iou_matrix
+from .geometry import Anchor, Box, _check_unit, boxes_to_array, iou_matrix
 from .postprocess import Detection, _Detections
 
 __all__ = [
@@ -116,9 +116,22 @@ class ProportionReport:
     average_delta_pp: float
 
 
+# Detection x ground-truth pairs in one IoU block: its temporaries stay a few MB however dense the image.
+_BLOCK_PAIRS = 2**16
+
+
 def max_iou_to_gts(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> np.ndarray:
-    """Best IoU of each detection over all ground-truth boxes, class-agnostic."""
-    return iou_matrix(_Detections.of(dets).corners, [g.box for g in gts]).max(axis=1, initial=0.0)
+    """Best IoU of each detection over all ground-truth boxes, class-agnostic.
+
+    The IoU matrix is built a block of rows at a time, so memory does not
+    grow with the number of detections; ``max`` is exact, so the values
+    equal the full matrix's row maxima bit for bit.
+    """
+    corners = _Detections.of(dets).corners
+    gt_corners = boxes_to_array(g.box for g in gts)
+    step = max(1, _BLOCK_PAIRS // max(1, len(gt_corners)))
+    blocks = (iou_matrix(corners[i : i + step], gt_corners) for i in range(0, len(corners), step))
+    return np.concatenate([np.zeros(0), *(block.max(axis=1, initial=0.0) for block in blocks)])
 
 
 def _count(values: np.ndarray, threshold: float) -> int:

@@ -94,7 +94,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--out-scatter needs --before and --gts dumps")
     conditions = [analysis.Condition.parse(text) for text in args.conditions.split(",")]
 
-    scatter = []
+    scatter_iou, scatter_cls = [np.zeros(0)], [np.zeros(0)]
     if args.counts is not None:
         stats = analysis.ingest_count_table(args.counts)
     else:
@@ -115,7 +115,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 analysis._image_stats(image_before, after.get(image_id, []), image_gts, iou_before, conditions=counted)
             )
             if args.out_scatter:
-                scatter.extend(zip(iou_before.tolist(), image_before.cls.tolist()))
+                scatter_iou.append(iou_before)
+                scatter_cls.append(image_before.cls)
 
     reports = [analysis.proportions_from_counts(stats, cond) for cond in conditions]
     if args.out_stats:
@@ -126,7 +127,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.out_scatter:
-        analysis.write_scatter_csv(scatter, args.out_scatter)
+        analysis.write_scatter_csv(
+            zip(np.concatenate(scatter_iou).tolist(), np.concatenate(scatter_cls).tolist()), args.out_scatter
+        )
 
     for report in reports:
         avg = analysis.round_half_up(report.average_delta_pp)

@@ -125,6 +125,14 @@ def _check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """The rule for an anchor shape value such as a base size: an int or float, not bool, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must hold int or float numbers, not bool; got {value!r}")
+    if not 0.0 < value <= _FLOAT_MAX:  # NaN, infinity, ints beyond the float range
+        raise ValueError(f"{name} must hold finite positive numbers, got {value!r}")
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -253,21 +261,20 @@ class AnchorGridConfig:
         for s in self.strides:
             _check_count("strides", s, 1)
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
-        object.__setattr__(self, "base_sizes", tuple(float(b) for b in self.base_sizes))
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        for name in ("base_sizes", "scales", "ratios"):
+            for value in getattr(self, name):
+                _check_positive(name, value)
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not self.strides:
             raise ValueError("strides must be non-empty")
         if any(b <= a for a, b in zip(self.strides, self.strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {self.strides}")
         if len(self.base_sizes) != len(self.strides):
             raise ValueError("base_sizes must have one entry per stride")
-        if any(b <= 0 for b in self.base_sizes):
-            raise ValueError(f"base_sizes must be positive, got {self.base_sizes}")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be non-empty and positive, got {self.scales}")
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ValueError(f"ratios must be non-empty and positive, got {self.ratios}")
+        if not self.scales:
+            raise ValueError("scales must be non-empty")
+        if not self.ratios:
+            raise ValueError("ratios must be non-empty")
 
     @property
     def anchors_per_cell(self) -> int:

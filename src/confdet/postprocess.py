@@ -158,9 +158,20 @@ def _none_if_nan(value: float) -> float | None:
 
 def _codes(values: list) -> tuple[list, np.ndarray]:
     """Distinct values in first-appearance order, and each value's index among them."""
-    distinct = list(dict.fromkeys(values))
-    lookup = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(lookup.__getitem__, values), dtype=np.intp, count=len(values))
+    lookup = {}
+    codes = _code(values, lookup)
+    return list(lookup), codes
+
+
+def _code(values: list, lookup: dict) -> np.ndarray:
+    """Each value's index in ``lookup``, which takes any new value at its next index.
+
+    Batch after batch through one ``lookup`` gives the codes of :func:`_codes`
+    on the whole list, and ``list(lookup)`` its distinct values.
+    """
+    for value in dict.fromkeys(values):
+        lookup.setdefault(value, len(lookup))
+    return np.fromiter(map(lookup.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 def _score_column(values: Sequence, optional: bool) -> np.ndarray:
@@ -231,23 +242,23 @@ class _Detections(_Rows):
         id nested too deep to print) for any row the bulk checks cannot
         vouch for.
         """
-        parts, class_ids, image_ids = [], [], []
+        parts, class_ids, image_lookup = [], [], {}
         for batch in _batches(rows):
             boxes, ids, cls_, obj, fused, images = zip(*batch)
             parts.append((
                 _corners_from_json(boxes),
                 _score_column(cls_, False), _score_column(obj, True), _score_column(fused, True),
+                _code(list(map(str, images)), image_lookup),
             ))
             class_ids += ids
-            image_ids += map(str, images)
         if set(map(type, class_ids)) - {int}:
             class_ids = list(map(class_id_from_json, class_ids))
         if class_ids and min(class_ids) < 0:
             raise ValueError("a negative class id")
         class_ids, class_code = _codes(class_ids)
-        image_ids, image_code = _codes(image_ids)
-        empty = (np.zeros((0, 4)), np.zeros(0), np.zeros(0), np.zeros(0))
-        corners, cls_, obj, fused = (np.concatenate(column) for column in zip(*parts, empty))
+        empty = (np.zeros((0, 4)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
+        corners, cls_, obj, fused, image_code = (np.concatenate(column) for column in zip(*parts, empty))
+        image_ids = list(image_lookup)
         return cls(corners, cls_, obj, fused, class_code, class_ids, image_code, image_ids, np.arange(len(cls_)))
 
     def _row(self, i: int) -> Detection:

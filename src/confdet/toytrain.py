@@ -81,6 +81,7 @@ class ToyTrainConfig:
         if not self.learning_rate > 0.0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         _check_count("max_iters", self.max_iters, 1)
+        _check_count("seed", self.seed, 0)
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
@@ -118,6 +119,9 @@ def make_dataset(n: int, d: int, seed: int, noise: float = 0.1) -> ToyDataset:
     """
     _check_count("n", n, 1)
     _check_count("d", d, 1)
+    _check_count("seed", seed, 0)
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
     features[:, 0] = 1.0

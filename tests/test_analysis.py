@@ -1,12 +1,14 @@
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confdet import analysis
 from confdet.analysis import (
     CLS,
     IOU,
@@ -25,8 +27,8 @@ from confdet.analysis import (
     write_scatter_csv,
 )
 from confdet.assignment import GroundTruthBox
-from confdet.geometry import Box
-from confdet.postprocess import Detection
+from confdet.geometry import Box, iou_matrix
+from confdet.postprocess import Detection, _Detections
 
 
 def det(x1, y1, x2, y2, cls_score, image_id="img"):
@@ -262,6 +264,61 @@ class TestEmptySides:
         assert max_iou_to_gts([det(0, 0, 1, 1, 0.5)], []).tolist() == [0.0]
         assert misalignment_summary([], []).shape == (0, 2)
         assert misalignment_summary([], [gt(0, 0, 1, 1)]).shape == (0, 2)
+
+
+@st.composite
+def _box(draw, min_side=0.0):
+    """A small box, or one at x near +-1e308, where the gap to a box at the other end overflows to -inf."""
+    x1, y1 = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-1e308, 1e308]))), draw(st.floats(-30.0, 30.0))
+    w, h = draw(st.floats(min_side, 20.0)), draw(st.floats(min_side, 20.0))
+    if abs(x1) > 1e300:
+        w *= 1e295  # wide enough to move x2 off x1 there, small enough for a finite area
+    return Box(x1, y1, x1 + w, y1 + h)
+
+
+class TestBlockedBestIou:
+    """``max_iou_to_gts`` takes its row maxima over blocks of at most ``_BLOCK_PAIRS`` pairs."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_equals_one_unblocked_matrix_bit_for_bit(self, data):
+        budget = data.draw(st.integers(1, 12), label="budget")
+        gt_boxes = data.draw(st.lists(_box(min_side=0.5), max_size=4), label="gts")
+        step = max(1, budget // max(1, len(gt_boxes)))
+        # row counts just below, at and just above a block edge, zero included
+        n = max(0, data.draw(st.integers(0, 3)) * step + data.draw(st.sampled_from([-1, 0, 1])))
+        boxes = data.draw(st.lists(_box(), min_size=n, max_size=n), label="dets")
+        expected = iou_matrix(boxes, gt_boxes).max(axis=1, initial=0.0)
+        rows = []
+
+        def counting(a, b):
+            rows.append(len(a))
+            return iou_matrix(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_PAIRS", budget)
+            mp.setattr(analysis, "iou_matrix", counting)
+            out = max_iou_to_gts([Detection(b, 0, 0.5) for b in boxes], [GroundTruthBox(b, 0) for b in gt_boxes])
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        assert rows == [min(step, n - i) for i in range(0, n, step)]
+
+    def test_dense_image_peaks_at_its_blocks(self):
+        # One full 100k x 50 matrix and its temporaries take about 200 MB; the result is 0.8 MB.
+        n = 100_000
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0, 1000, (n, 2))
+        corners = np.hstack([xy, xy + rng.uniform(1, 100, (n, 2))])
+        codes, nan = np.zeros(n, dtype=np.intp), np.full(n, np.nan)
+        dets = _Detections(corners, np.full(n, 0.5), nan, nan, codes, [0], codes, ["img"], np.arange(n))
+        gts = [gt(x, y, x + 50, y + 50) for x, y in rng.uniform(0, 1000, (50, 2)).tolist()]
+        tracemalloc.start()
+        try:
+            out = max_iou_to_gts(dets, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,)
+        assert peak < 16 * 2**20
 
 
 class TestScatterCsv:

@@ -23,6 +23,7 @@ from confdet.fusion import FusionParams
 from confdet.postprocess import (
     Detection,
     NmsParams,
+    _codes,
     apply_fusion,
     detection_from_dict,
     dump_detections_jsonl,
@@ -199,6 +200,44 @@ def test_loader_matches_per_record_parse_on_every_raw_line(tmp_path, raw):
         assert str(excinfo.value) == expected
     else:
         assert load_detections_jsonl(path) == expected
+
+
+def _batch_edge_records(n):
+    """``n`` records whose image ids interleave, recur across the loader's 4,096-record batch edge and are
+    partly numbers, which the loader reads through ``str()``; a new id first appears right at the edge.
+    """
+    ids = ["b", "a", 7, "7", 2.5, "a b"]
+    return [
+        {"image_id": "new" if i == 4096 else ids[i % len(ids)], "box": [0, 0, 1 + i % 3, 1], "class_id": i % 2,
+         "cls_score": 0.5}
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 4095, 4096, 4097, 8193])
+def test_loader_codes_image_ids_across_batches_as_one_list(tmp_path, n):
+    records = _batch_edge_records(n)
+    path = tmp_path / "dets.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    loaded = load_detections_jsonl(path)
+    image_ids, image_code = _codes([str(r["image_id"]) for r in records])
+    assert loaded.image_ids == image_ids
+    assert loaded.image_code.tolist() == image_code.tolist()
+    assert [d.image_id for d in loaded] == [str(r["image_id"]) for r in records]
+
+
+@pytest.mark.parametrize("mutation", [0, 15, 30, 40])  # a bool corner, a score above 1, a negative class, no image id
+def test_bad_record_past_the_batch_edge_fails_as_per_record_parse(tmp_path, mutation):
+    records = _batch_edge_records(4100)
+    _MUTATIONS[mutation](records[4097])  # line 4098, in the second batch
+    data = "".join(json.dumps(r) + "\n" for r in records).encode()
+    path = tmp_path / "dets.jsonl"
+    path.write_bytes(data)
+    expected = _per_record(path, data)
+    assert f"{path}: line 4098: " in expected
+    with pytest.raises(ValueError) as excinfo:
+        load_detections_jsonl(path)
+    assert str(excinfo.value) == expected
 
 
 def test_boxes_of_three_and_five_values_do_not_pair_up(tmp_path):
@@ -483,11 +522,12 @@ def test_analyze_computes_best_iou_once_per_image_and_dump(tmp_path, monkeypatch
         return iou_matrix(a, b)
 
     monkeypatch.setattr(analysis, "iou_matrix", counting)
+    monkeypatch.setattr(analysis, "_BLOCK_PAIRS", 4)  # one ground truth per image: blocks of four detections
     argv = ["analyze", "--before", str(before), "--after", str(after), "--gts", str(gts),
             "--conditions", "iou>0.5,cls>0.5", "--out-stats", str(tmp_path / "s.csv"),
             "--out-scatter", str(tmp_path / "sc.csv")]
     assert main(argv) == 0
-    assert len(calls) == 6  # three images, before and after
+    assert calls == [4, 4, 2, 4, 1] * 3  # per image, its ten detections before and five after, each once
     rows = (tmp_path / "sc.csv").read_text().splitlines()[1:]
     expected = np.concatenate([
         analysis.misalignment_summary(image_dets, assignment.load_ground_truth_jsonl(gts)[image_id])

@@ -154,6 +154,21 @@ class TestAnchorGridConfig:
         config = AnchorGridConfig.retinanet_defaults()
         assert AnchorGridConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("field", ["base_sizes", "scales", "ratios"])
+    @pytest.mark.parametrize("value", [True, False, "2", None, [1.0], math.inf, -math.inf, math.nan, 0, 0.0, -1.0,
+                                       10**400])
+    def test_shape_values_must_be_finite_positive_numbers(self, field, value):
+        shapes = {"base_sizes": (32.0,), "scales": (1.0, 2.0), "ratios": (1.0,)}
+        shapes[field] = (*shapes[field][:-1], value)
+        with pytest.raises(ValueError, match=f"^{field} must hold "):
+            AnchorGridConfig(strides=(8,), **shapes)
+
+    def test_int_shape_values_become_floats_and_round_trip(self):
+        config = AnchorGridConfig(strides=(8, 16), base_sizes=(32, 64.0), scales=(1,), ratios=(1, 2))
+        assert config == AnchorGridConfig(strides=(8, 16), base_sizes=(32.0, 64.0), scales=(1.0,), ratios=(1.0, 2.0))
+        assert {type(v) for v in config.base_sizes + config.scales + config.ratios} == {float}
+        assert AnchorGridConfig.from_dict(config.to_dict()) == config
+
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             AnchorGridConfig.from_dict({"strides": [8]})

@@ -1,7 +1,7 @@
 """Each input rule has one copy, and every value it covers fails it the same way.
 
 The [0, 1] rule covers eleven values in four modules, the class-id rule
-two records, the count rule eight values in four modules, the finite rule
+two records, the count rule ten values in four modules, the finite rule
 the four loss parameters, and the training-target rule both the losses
 and the toy dataset.  ``train`` takes its gradient from the loss table; a
 reference loop that calls the public ``sigmoid_regression_grad`` on every
@@ -148,16 +148,18 @@ class TestTrainingInputs:
         with pytest.raises(ValueError, match=r"features must be \(n, d\) with n >= 1, got shape \(0, 3\)"):
             ToyDataset(features=np.empty((0, 3)), targets=np.empty(0), seed=0)
 
-    def test_nan_noise_rejected(self):
-        with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
-            make_dataset(10, 3, seed=0, noise=math.nan)
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match=f"noise must be finite, got {noise}"):
+            make_dataset(10, 3, seed=0, noise=noise)
 
-    @pytest.mark.parametrize(("flag", "message"), [
-        ("--lr", "learning_rate must be > 0, got nan"), ("--noise", "targets must lie in [0, 1]"),
+    @pytest.mark.parametrize(("flag", "value", "message"), [
+        ("--lr", "nan", "learning_rate must be > 0, got nan"), ("--noise", "nan", "noise must be finite, got nan"),
+        ("--noise", "inf", "noise must be finite, got inf"),
     ])
-    def test_cli_nan_exits_2(self, tmp_path, capsys, flag, message):
+    def test_cli_non_finite_exits_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "trace.csv"
-        assert main(["toytrain", str(out), flag, "nan", "--iters", "5"]) == 2
+        assert main(["toytrain", str(out), flag, value, "--iters", "5"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -235,6 +237,8 @@ _COUNT_VALUES = [
     ("n_pos", 1, lambda v: focal_loss([0.3, -1.0], [True, False], n_pos=v)),
     ("n", 1, lambda v: make_dataset(v, 3, 0).targets.tolist()),
     ("d", 1, lambda v: make_dataset(5, v, 0).targets.tolist()),
+    ("seed", 0, lambda v: make_dataset(5, 3, v).targets.tolist()),
+    ("seed", 0, lambda v: ToyTrainConfig(seed=v)),
     ("strides", 1, lambda v: AnchorGridConfig(strides=(v,), base_sizes=(32.0,), scales=(1.0,), ratios=(1.0,))),
 ]
 
