@@ -175,37 +175,18 @@ def _image_stats(
     image_id = next(iter(image_ids)) if image_ids else ""
 
     conditions = list(conditions)
-    cls_before = dets_before.cls
-    cls_after = dets_after.cls
     if any(c.kind == IOU for c in conditions) and not gts:
         warnings.warn(f"image {image_id!r}: IoU conditions counted as zero (no ground truth)")
-    iou_after = max_iou_to_gts(dets_after, gts)
-
-    before: dict[Condition, int] = {}
-    after: dict[Condition, int] = {}
-    for cond in conditions:
-        if cond.kind == CLS:
-            before[cond] = _count(cls_before, cond.threshold)
-            after[cond] = _count(cls_after, cond.threshold)
-        else:
-            before[cond] = _count(iou_before, cond.threshold)
-            after[cond] = _count(iou_after, cond.threshold)
-
-    positive_num = None
-    if anchors is not None:
-        if gts and len(anchors):
-            best = _best_matches(anchors, gts)[0]
-            positive_num = _count(best, positive_iou)
-        else:
-            positive_num = 0
+    # each condition kind's (before, after) values
+    values = {CLS: (dets_before.cls, dets_after.cls), IOU: (iou_before, max_iou_to_gts(dets_after, gts))}
 
     return ImageStats(
         image_id=image_id,
-        positive_num=positive_num,
-        before=before,
-        after=after,
-        before_total=_count(cls_before, TOTAL_CONDITION.threshold),
-        after_total=_count(cls_after, TOTAL_CONDITION.threshold),
+        positive_num=None if anchors is None else _count(_best_matches(anchors, gts)[0], positive_iou),
+        before={c: _count(values[c.kind][0], c.threshold) for c in conditions},
+        after={c: _count(values[c.kind][1], c.threshold) for c in conditions},
+        before_total=_count(dets_before.cls, TOTAL_CONDITION.threshold),
+        after_total=_count(dets_after.cls, TOTAL_CONDITION.threshold),
     )
 
 

@@ -88,6 +88,9 @@ def cmd_nms(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if (args.counts is None) == (args.before is None):
         raise ValueError("provide either --counts or --before/--after dumps")
+    for flag, value in (("--after", args.after), ("--gts", args.gts)):
+        if args.counts is not None and value is not None:
+            raise ValueError(f"--counts replays a count table and takes no {flag}")
     if args.before is not None and args.after is None:
         raise ValueError("--before needs --after")
     if args.out_scatter and (args.before is None or args.gts is None):

@@ -228,7 +228,8 @@ def _gfocal(p, y, kind):
 def _gfocal_grad(p, y, kind):
     diff = p - y
     if kind.beta == 0.0:
-        return diff  # plain CE gradient
+        # plain CE gradient; the general form would take 0 * |d|^-1, which is NaN where |d| < 1 / DBL_MAX
+        return diff
     absd = np.abs(diff)
     # d/dz [ |d|^beta * CE ] = beta |d|^(beta-1) sign(d) CE p(1-p) + |d|^beta * d
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,6 +257,7 @@ _LOSSES = {
 }
 
 CONF_LOSS_NAMES = tuple(_LOSSES)
+REGRESSION_LOSSES = ("l1", "l2", "ce")  # the kinds sigmoid_regression_grad and the toy experiment take
 
 
 def _reduce(kind: ConfLossKind, z, y, pos, n_pos: int, grad: bool):
@@ -378,8 +380,8 @@ def sigmoid_regression_grad(kind: str, y, z, x) -> np.ndarray:
     per-sample gradients.  l1 returns the zero subgradient at y == h.
     """
     kind = kind.lower()
-    if kind not in ("l1", "l2", "ce"):
-        raise ValueError(f"kind must be one of l1, l2, ce; got {kind!r}")
+    if kind not in REGRESSION_LOSSES:
+        raise ValueError(f"kind must be one of {', '.join(REGRESSION_LOSSES)}; got {kind!r}")
     y_arr = np.asarray(y, dtype=np.float64)
     z_arr = np.asarray(z, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)

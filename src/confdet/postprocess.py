@@ -77,9 +77,10 @@ def fuse(cls_score: float, obj_score: float | None, params: FusionParams) -> flo
 
     product mode: obj^alpha * cls^(1-alpha); multiply: obj * cls; cls: the
     classification score unchanged, and ``obj_score`` is not looked at
-    (it may be None).  The boundary cases alpha in {0, 1} and obj == cls
-    return their operand exactly (this also realizes the 0^0 == 1
-    convention at score 0).
+    (it may be None).  obj == cls returns that score exactly.  The
+    endpoints alpha in {0, 1} need no case of their own: Python's ``**``
+    gives x ** 0.0 == 1.0 (0^0 included) and x ** 1.0 == x, so the
+    formula itself returns cls or obj exactly.
     """
     _check_unit("cls_score", cls_score)
     if params.mode != CLS_ONLY:
@@ -101,10 +102,6 @@ def _fuse_lists(cls: list[float], obj: list, params: FusionParams) -> list[float
     if params.mode == MULTIPLY:
         return [o * c for c, o in zip(cls, obj)]
     a, b = params.alpha, 1.0 - params.alpha
-    if a == 0.0:
-        return list(cls)
-    if a == 1.0:
-        return [c if o == c else o for c, o in zip(cls, obj)]
     return [c if o == c else o**a * c**b for c, o in zip(cls, obj)]
 
 
@@ -353,6 +350,17 @@ def score_filter(dets: Iterable[Detection], threshold: float, field: str = "cls"
     return dets.take(np.flatnonzero(_scores(dets, field) > threshold))
 
 
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A stable argsort of ``codes``, and the bounds of each run of equal codes in that order.
+
+    The order lines up each code as one block of positions, in input order
+    within the block; block i is ``order[bounds[i]:bounds[i + 1]]``.
+    """
+    order = np.argsort(codes, kind="stable")
+    lined_up = codes[order]
+    return order, [0, *(np.flatnonzero(lined_up[1:] != lined_up[:-1]) + 1).tolist(), len(codes)]
+
+
 @_columnar(keeps_objects=True)
 def nms(dets: Sequence[Detection], params: NmsParams = NmsParams()) -> list[Detection]:
     """Greedy per-class suppression ranked by ``params.score_field``.
@@ -371,12 +379,7 @@ def nms(dets: Sequence[Detection], params: NmsParams = NmsParams()) -> list[Dete
     if (dets.image_code != dets.image_code[0]).any():
         raise ValueError(f"nms expects a single image, got ids {sorted(dets.image_id_set())}")
     order = np.argsort(-_scores(dets, params.score_field), kind="stable")  # descending score, ties by input index
-
-    # A stable sort of the class codes in score order lines up each class as
-    # one block of positions, still in score order.
-    classes = dets.class_code[order]
-    by_class = np.argsort(classes, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(classes[by_class])) + 1).tolist(), len(order)]
+    by_class, bounds = _runs(dets.class_code[order])  # each class's positions, still in score order
 
     boxes = dets.corners[order[by_class]]
     areas = _areas(boxes)
@@ -427,7 +430,7 @@ def inference_pipeline(
     out = score_filter(out, nms_params.score_threshold, nms_params.score_field)
     if top_k is not None and len(out) > top_k:
         ranked = np.argsort(-_scores(out, nms_params.score_field), kind="stable")  # ties by input index
-        out = out.take(np.sort(ranked[:top_k]))
+        out = out.take(ranked[:top_k])  # nms ranks these again, with the same ties
     return nms(out, nms_params)
 
 
@@ -502,12 +505,9 @@ def group_by_image(dets: Iterable[Detection]) -> dict[str, Sequence[Detection]]:
     cols = _Detections.of(dets)
     if not len(cols):
         return {}
-    # A stable argsort of the image codes lines up each image as one block of
-    # rows, in input order; an image's block starts with its first row.
-    by_image = np.argsort(cols.image_code, kind="stable")
-    codes = cols.image_code[by_image]
-    blocks = np.split(by_image, np.flatnonzero(codes[1:] != codes[:-1]) + 1)
-    blocks.sort(key=lambda rows: rows[0])
+    by_image, bounds = _runs(cols.image_code)
+    blocks = [by_image[start:end] for start, end in zip(bounds, bounds[1:])]
+    blocks.sort(key=lambda rows: rows[0])  # an image's block starts with its first row
     return {
         cols.image_ids[cols.image_code[rows[0]]]: cols.take(rows) if columnar else [dets[i] for i in rows.tolist()]
         for rows in blocks

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .geometry import _check_count
-from .losses import sigmoid, sigmoid_regression_grad
+from .losses import REGRESSION_LOSSES, sigmoid, sigmoid_regression_grad
 
 __all__ = [
     "REGRESSION_LOSSES",
@@ -35,7 +35,6 @@ __all__ = [
     "GRADCHECK_LOSSES",
 ]
 
-REGRESSION_LOSSES = ("l1", "l2", "ce")
 INITS = ("zeros", "saturated+", "saturated-")
 
 # Initial logit magnitude for the saturated inits: sigmoid(7) ~ 0.999.

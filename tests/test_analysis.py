@@ -26,7 +26,7 @@ from confdet.analysis import (
     round_half_up,
     write_scatter_csv,
 )
-from confdet.assignment import GroundTruthBox
+from confdet.assignment import AssignerConfig, GroundTruthBox, assign
 from confdet.geometry import Box, iou_matrix
 from confdet.postprocess import Detection, _Detections
 
@@ -110,6 +110,12 @@ class TestComputeImageStats:
         stats = compute_image_stats([], [], gts, anchors=anchors)
         assert stats.positive_num == 2
 
+    def test_positive_num_zero_without_ground_truth_or_anchors(self):
+        anchors = [Box(0, 0, 10, 6), Box(0, 0, 10, 9)]
+        assert compute_image_stats([], [], [], anchors=anchors).positive_num == 0
+        assert compute_image_stats([], [], [gt(0, 0, 10, 10)], anchors=[]).positive_num == 0
+        assert compute_image_stats([], [], [], anchors=[]).positive_num == 0
+
     def test_positive_num_none_without_anchors(self):
         stats = compute_image_stats([], [], [])
         assert stats.positive_num is None
@@ -117,6 +123,52 @@ class TestComputeImageStats:
     def test_mixed_image_ids_rejected(self):
         with pytest.raises(ValueError, match="single image"):
             compute_image_stats([det(0, 0, 1, 1, 0.5, "a")], [det(0, 0, 1, 1, 0.5, "b")], [])
+
+
+class TestEqualToThreshold:
+    """Every count is strict: a value exactly on a threshold is not counted.
+
+    One 32x32 ground truth; the 32x16 box inside it sits at IoU exactly 0.5.
+    """
+
+    GTS = [gt(0, 0, 32, 32)]
+    BEFORE = [
+        det(0, 0, 32, 16, 0.9),  # IoU 0.5 exactly
+        det(0, 0, 32, 32, 0.5),  # cls 0.5 exactly, IoU 1
+        det(0, 0, 32, 8, 0.05),  # cls 0.05 exactly, IoU 0.25
+        det(0, 0, 32, 17, 0.51),  # IoU 17/32
+        det(100, 100, 110, 110, 0.06),  # IoU 0
+    ]
+    AFTER = BEFORE[:3]
+    CONDITIONS = [Condition(IOU, 0.5), Condition(CLS, 0.5)]
+    # (0, 0, 32, 16) is at IoU 0.5 exactly; (0, 0, 32, 17) and the ground truth's own box are above it
+    ANCHORS = [Box(0, 0, 32, 16), Box(0, 0, 32, 17), Box(0, 0, 32, 32), Box(64, 64, 96, 96)]
+
+    def test_hand_counts(self):
+        stats = compute_image_stats(self.BEFORE, self.AFTER, self.GTS, self.ANCHORS, self.CONDITIONS)
+        assert stats.before == {Condition(IOU, 0.5): 2, Condition(CLS, 0.5): 2}
+        assert stats.after == {Condition(IOU, 0.5): 1, Condition(CLS, 0.5): 1}
+        assert (stats.before_total, stats.after_total) == (4, 2)
+        assert stats.positive_num == 2
+
+    def test_assign_labels_the_iou_half_anchor_positive(self):
+        # assign's band is pos_iou <= IoU, positive_num's is IoU > 0.5
+        cfg = AssignerConfig(pos_iou=0.5, neg_iou=0.4, force_match=False)
+        assert assign(self.ANCHORS, self.GTS, cfg).n_pos == 3
+
+    def test_count_table_round_trip_keeps_the_counts(self, tmp_path):
+        stats = compute_image_stats(self.BEFORE, self.AFTER, self.GTS, self.ANCHORS, self.CONDITIONS)
+        path = tmp_path / "counts.csv"
+        emit_count_table([stats], path)
+        assert path.read_text().splitlines() == [
+            "image_id,stage,condition,count", "img,positive,iou>0.5,2",
+            "img,before,cls>0.05,4", "img,before,iou>0.5,2", "img,before,cls>0.5,2",
+            "img,after,cls>0.05,2", "img,after,iou>0.5,1", "img,after,cls>0.5,1",
+        ]
+        (again,) = ingest_count_table(path)
+        assert (again.positive_num, again.before_total, again.after_total) == (2, 4, 2)
+        assert again.before == {TOTAL_CONDITION: 4, **stats.before}
+        assert again.after == {TOTAL_CONDITION: 2, **stats.after}
 
 
 class TestProportions:
@@ -226,6 +278,44 @@ class TestCountTableIo:
         path.write_text("id,stage,cond,count\n")
         with pytest.raises(ValueError, match="header"):
             ingest_count_table(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "empty count table"),
+        ("image_id,stage,condition,count\nimgA,before,3\n", "line 2: expected 4 columns, got 3"),
+        ("image_id,stage,condition,count\nimgA,before,cls>0.05,3,1\n", "line 2: expected 4 columns, got 5"),
+        ("image_id,stage,condition,count\nimgA,before,cls>0.05,-1\n", "line 2: negative count -1"),
+        ("image_id,stage,condition,count\nimgA,positive,iou>0.7,3\n",
+         "line 2: positive stage expects condition iou>0.5, got iou>0.7"),
+        ("image_id,stage,condition,count\nimgA,positive,cls>0.5,3\n",
+         "line 2: positive stage expects condition iou>0.5, got cls>0.5"),
+    ])
+    def test_input_rules(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            ingest_count_table(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "image_id,stage,condition,count\n\nimgA,before,cls>0.05,3\n , ,,\n,\nimgA,after,cls>0.05,1\n\n"
+        )
+        (stats,) = ingest_count_table(path)
+        assert (stats.image_id, stats.before_total, stats.after_total) == ("imgA", 3, 1)
+
+    def test_total_rows_written_when_the_counts_lack_them(self, tmp_path):
+        iou = Condition(IOU, 0.5)
+        stats = ImageStats("imgA", None, before={iou: 3}, after={iou: 1}, before_total=10, after_total=4)
+        path = tmp_path / "counts.csv"
+        emit_count_table([stats], path)
+        assert path.read_text().splitlines() == [
+            "image_id,stage,condition,count", "imgA,before,cls>0.05,10", "imgA,before,iou>0.5,3",
+            "imgA,after,cls>0.05,4", "imgA,after,iou>0.5,1",
+        ]
+        (again,) = ingest_count_table(path)
+        assert (again.before_total, again.after_total, again.positive_num) == (10, 4, None)
+        assert again.before == {TOTAL_CONDITION: 10, iou: 3}
+        assert again.after == {TOTAL_CONDITION: 4, iou: 1}
 
     def test_non_utf8_byte_reports_path_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"

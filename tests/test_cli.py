@@ -259,6 +259,50 @@ class TestAnalyzeCommand:
             "analyze", "--counts", str(bundled_count_table()),
             "--before", "x.jsonl", "--conditions", "iou>0.5",
         ]) == 2
+        capsys.readouterr()
+        assert main(["analyze", "--before", str(tmp_path / "missing.jsonl")]) == 2
+        assert capsys.readouterr().err == "error: --before needs --after\n"
+        for flag in ("--after", "--gts"):
+            report = tmp_path / "r.json"
+            assert main([
+                "analyze", "--counts", str(bundled_count_table()), flag, str(tmp_path / "missing.jsonl"),
+                "--out-report", str(report),
+            ]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --counts replays a count table and takes no {flag}\n"
+            assert captured.out == "" and not report.exists()
+
+    def test_counts_on_each_threshold_are_strict(self, tmp_path):
+        # one 32x32 ground truth: the 32x16 box inside it is at IoU exactly 0.5
+        gts_path = tmp_path / "gt.jsonl"
+        gts_path.write_text(json.dumps({"image_id": "img", "box": [0, 0, 32, 32], "class_id": 0}) + "\n")
+        before = [
+            det(0, 0, 32, 16, 0.9),  # IoU 0.5 exactly
+            det(0, 0, 32, 32, 0.5),  # cls 0.5 exactly
+            det(0, 0, 32, 8, 0.05),  # cls 0.05 exactly: in neither stage total
+            det(0, 0, 32, 17, 0.51),  # IoU 17/32
+            det(100, 100, 110, 110, 0.06),  # IoU 0
+        ]
+        before_path, after_path = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        dump_detections_jsonl(before, before_path, include_fused=False)
+        dump_detections_jsonl(before[:3], after_path, include_fused=False)
+        stats, replayed = tmp_path / "stats.csv", tmp_path / "replayed.csv"
+        report_a, report_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([
+            "analyze", "--before", str(before_path), "--after", str(after_path), "--gts", str(gts_path),
+            "--out-stats", str(stats), "--out-report", str(report_a),
+        ]) == 0
+        assert stats.read_text().splitlines() == [
+            "image_id,stage,condition,count",
+            "img,before,iou>0.5,2", "img,before,cls>0.5,2", "img,before,cls>0.05,4",
+            "img,after,iou>0.5,1", "img,after,cls>0.5,1", "img,after,cls>0.05,2",
+        ]
+        assert main(["analyze", "--counts", str(stats), "--out-stats", str(replayed), "--out-report", str(report_b)]) == 0
+        assert replayed.read_bytes() == stats.read_bytes()
+        assert report_b.read_bytes() == report_a.read_bytes()
+        assert json.loads(report_a.read_text())["reports"][0]["per_image"] == [
+            {"image_id": "img", "before_pct": 50.0, "after_pct": 50.0, "delta_pp": 0.0}
+        ]
 
     def test_bad_condition_rejected(self, capsys):
         assert main([
@@ -302,6 +346,13 @@ class TestToytrainCommand:
         assert main(["toytrain", str(a)] + args) == 0
         assert main(["toytrain", str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_diverged_run_says_so(self, tmp_path, capsys):
+        # from theta = 0, one step of lr 1.7e308 overflows a weight of this 1 x 50 dataset
+        out = tmp_path / "trace.csv"
+        assert main(["toytrain", str(out), "--n", "1", "--d", "50", "--lr", "1.7e308", "--iters", "20"]) == 0
+        assert capsys.readouterr().out == "diverged after 1 iterations (flag recorded in CSV footer)\n"
+        assert out.read_text().splitlines()[-1].startswith("# diverged")
 
     def test_ce_crosses_before_l2(self, tmp_path):
         def first_crossing(path):
@@ -359,6 +410,19 @@ class TestAnchorsAndAssignCommands:
         out = tmp_path / "labels.jsonl"
         assert main(["assign", str(out), "--anchors", str(anchors_path), "--gts", str(gts_path)]) == 2
         assert "--image-id required" in capsys.readouterr().err
+
+    def test_assign_image_id_without_ground_truth(self, tmp_path, capsys):
+        anchors_path = tmp_path / "anchors.jsonl"
+        main(["anchors", str(anchors_path), "--image-w", "32", "--image-h", "32",
+              "--strides", "16", "--base-sizes", "24", "--scales", "1.0", "--ratios", "1.0"])
+        gts_path = tmp_path / "gt.jsonl"
+        gts_path.write_text(json.dumps({"image_id": "a", "box": [0, 0, 16, 16], "class_id": 0}) + "\n")
+        out = tmp_path / "labels.jsonl"
+        capsys.readouterr()
+        code = main(["assign", str(out), "--anchors", str(anchors_path), "--gts", str(gts_path), "--image-id", "b"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no ground truth for image 'b'\n"
+        assert not out.exists()
 
     def test_assign_lines_are_json_dumps_bytes(self, tmp_path, monkeypatch):
         labels = [assignment.NEGATIVE, assignment.IGNORE, 0, 1, 12, assignment.NEGATIVE]

@@ -16,10 +16,13 @@ from confdet.losses import (
     gfocal_loss,
     gfocal_loss_grad,
     l1_confidence_loss,
+    l1_confidence_loss_grad,
     l2_confidence_loss,
+    l2_confidence_loss_grad,
     sigmoid,
     sigmoid_regression_grad,
     smooth_l1_confidence_loss,
+    smooth_l1_confidence_loss_grad,
     weighted_ce_confidence_loss,
     weighted_ce_confidence_loss_grad,
 )
@@ -194,6 +197,15 @@ class TestGFocalLoss:
         y = rng.uniform(0, 1, 30)
         assert gfocal_loss(z, y, beta=0.0) == pytest.approx(ce_confidence_loss(z, y), abs=1e-15)
 
+    def test_beta_zero_grad_is_cross_entropy_grad_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        z = np.concatenate([rng.uniform(-30, 30, 40), [0.0, -700.0, -740.0, 40.0]])
+        y = np.concatenate([rng.uniform(0, 1, 40), [0.5, 0.0, 0.0, 1.0]])
+        # z = -740, y = 0 leaves a subnormal |p - y|, where 0 * |p - y|^-1 would overflow to NaN
+        for n_pos in (None, 3):
+            got = gfocal_loss_grad(z, y, n_pos, beta=0.0)
+            assert got.tobytes() == ce_confidence_loss_grad(z, y, None, n_pos).tobytes()
+
     def test_known_value(self):
         # y = 1, p = 0.5, beta = 2: 0.25 * ln 2
         assert gfocal_loss([0.0], [1.0], beta=2.0) == pytest.approx(0.25 * LN2, abs=1e-12)
@@ -366,6 +378,22 @@ class TestConfLossKindDispatch:
         assert confidence_loss(ConfLossKind("smooth_l1"), z, y, pos) == pytest.approx(
             smooth_l1_confidence_loss(z, y, pos)
         )
+
+    def test_per_kind_grad_wrappers_match_dispatch_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        z = np.concatenate([rng.uniform(-8, 8, 20), [0.0, 50.0, -50.0]])
+        pos = rng.random(23) < 0.6
+        y = np.where(pos, rng.uniform(0, 1, 23), 0.0)
+        for n_pos in (None, 7):
+            pairs = [
+                (l1_confidence_loss_grad(z, y, pos, n_pos), ConfLossKind("l1")),
+                (l2_confidence_loss_grad(z, y, pos, n_pos), ConfLossKind("l2")),
+                (smooth_l1_confidence_loss_grad(z, y, pos, n_pos), ConfLossKind("smooth_l1")),
+                (smooth_l1_confidence_loss_grad(z, y, pos, n_pos, threshold=0.2),
+                 ConfLossKind("smooth_l1", smooth_l1_threshold=0.2)),
+            ]
+            for got, kind in pairs:
+                assert got.tobytes() == confidence_loss_grad(kind, z, y, pos, n_pos).tobytes(), kind
 
     def test_every_kind_gradient_matches_numeric(self):
         rng = np.random.default_rng(9)
